@@ -23,7 +23,7 @@ only exercise BFT's failure-free path.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterator
 
 from repro.calibration import CalibrationProfile
 from repro.baselines.bft.messages import (
@@ -34,19 +34,15 @@ from repro.baselines.bft.messages import (
     Prepare,
     PreparedProof,
 )
-from repro.core.batching import Batcher
 from repro.core.checkpoint import Checkpoint as SmrCheckpoint
-from repro.core.checkpoint import CheckpointTracker
 from repro.core.config import ProtocolConfig
-from repro.core.messages import OrderBatch, OrderEntry, SignedMessage, payload_size
-from repro.core.replies import Reply, result_digest
+from repro.core.messages import OrderBatch, SignedMessage
 from repro.core.process import OrderProcessBase
 from repro.core.requests import ClientRequest
-from repro.core.service import ReplicatedStateMachine
 from repro.crypto.digests import digest
 from repro.crypto.encoding import canonical_bytes
 from repro.crypto.signing import SignatureProvider
-from repro.net.addresses import base_index, replica_name
+from repro.net.addresses import replica_name
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 
@@ -81,6 +77,9 @@ class _BatchState:
 class BftReplica(OrderProcessBase):
     """One replica of the signature-based PBFT baseline."""
 
+    # Differs from SC's salt only by history; the seeded traces pin both.
+    EQUIVOCATION_SALT = b"equiv"
+
     def __init__(
         self,
         sim: Simulator,
@@ -90,41 +89,26 @@ class BftReplica(OrderProcessBase):
         provider: SignatureProvider,
         calibration: CalibrationProfile,
     ) -> None:
-        super().__init__(sim, name, network, provider, calibration)
-        self.config = config
+        n = 3 * config.f + 1
+        super().__init__(
+            sim, name, network, config, provider, calibration,
+            tuple(replica_name(i) for i in range(1, n + 1)),
+        )
         self.f = config.f
-        self.n = 3 * config.f + 1
-        self.index = base_index(name)
+        self.n = n
         self.view = 1
-        self.machine = ReplicatedStateMachine(name)
         self.states: dict[tuple[int, int], _BatchState] = {}
         self.committed_seqs: dict[int, OrderBatch] = {}  # first_seq -> batch
-        self._exec_next = 1
-        self.unordered: list[ClientRequest] = []
-        self.ordered_keys: set[tuple[str, int]] = set()
-        self.next_assign_seq = 1
-        self.batch_counter = 0
-        self._batch_timer_armed = False
         # view change state
         self.in_view_change = False
         self.pending_view: int | None = None
         self._view_changes: dict[int, dict[str, SignedMessage]] = {}
         self._voted_views: set[int] = set()
         self.view_timeout = config.view_timeout
-        self._liveness_armed = False
+        self.liveness_period = self.view_timeout / 2
         self.last_progress = 0.0
-        self.checkpoints = CheckpointTracker(config.f)
-        self._last_checkpoint_seq = 0
 
     # ------------------------------------------------------------------
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(replica_name(i) for i in range(1, self.n + 1))
-
-    @property
-    def others(self) -> tuple[str, ...]:
-        return tuple(n for n in self.names if n != self.name)
-
     def primary_of(self, view: int) -> str:
         return replica_name(((view - 1) % self.n) + 1)
 
@@ -133,12 +117,16 @@ class BftReplica(OrderProcessBase):
         return self.primary_of(self.view)
 
     @property
-    def is_primary(self) -> bool:
+    def is_ordering(self) -> bool:
         return self.name == self.primary and not self.in_view_change
+
+    @property
+    def order_rank(self) -> int:
+        return self.view
 
     def start(self) -> None:
         self.last_progress = self.sim.now
-        if self.is_primary:
+        if self.is_ordering:
             self._arm_batch_timer()
         self._arm_liveness_timer()
 
@@ -169,7 +157,7 @@ class BftReplica(OrderProcessBase):
     # ------------------------------------------------------------------
     def handle(self, sender: str, payload: Any) -> None:
         if isinstance(payload, ClientRequest):
-            self._on_request(payload)
+            self._on_request(sender, payload)
             return
         if not isinstance(payload, SignedMessage):
             return
@@ -185,66 +173,14 @@ class BftReplica(OrderProcessBase):
         elif isinstance(body, BftNewView):
             self._on_new_view(sender, payload)
         elif isinstance(body, SmrCheckpoint):
-            if sender == body.process and self.check_signed(payload, (body.process,)):
-                self._note_checkpoint(body)
+            self._on_checkpoint(sender, payload)
 
     # ------------------------------------------------------------------
     # Primary: batching and pre-prepare
     # ------------------------------------------------------------------
-    def _on_request(self, request: ClientRequest) -> None:
-        if not self.note_request(request):
-            return
-        if self.is_primary and request.key not in self.ordered_keys:
-            self.unordered.append(request)
-
-    def _arm_batch_timer(self) -> None:
-        if self._batch_timer_armed:
-            return
-        self._batch_timer_armed = True
-        self.set_timer(self.config.batching_interval, self._batch_tick)
-
-    def _batch_tick(self) -> None:
-        self._batch_timer_armed = False
-        if not self.is_primary or self.crashed:
-            return
-        trace = self.sim.trace
-        if trace.wants("queue_depth"):
-            trace.emit(self.sim.now, "queue_depth", actor=self.name,
-                       depth=len(self.unordered))
-        if self.unordered and not self.fault.withholds_orders(self.sim.now):
-            self._propose_batch()
-        self._arm_batch_timer()
-
-    def _propose_batch(self) -> None:
-        batcher = Batcher(self.config.batch_size_bytes)
-        requests = batcher.take(self.unordered)
-        del self.unordered[: len(requests)]
-        self.batch_counter += 1
-        batch = batcher.make_batch(
-            rank=self.view,
-            batch_id=self.batch_counter,
-            first_seq=self.next_assign_seq,
-            requests=requests,
-            digest_name=self.config.scheme.digest,
-        )
-        self.next_assign_seq = batch.last_seq + 1
-        for request in requests:
-            self.ordered_keys.add(request.key)
+    def _disseminate(self, batch: OrderBatch) -> None:
+        """Pre-prepare (1 → n), signed by the primary."""
         batch = self._apply_order_faults(batch)
-        self.trace(
-            "batch_formed",
-            batch_id=batch.batch_id,
-            rank=self.view,
-            first_seq=batch.first_seq,
-            n_requests=len(batch.entries),
-        )
-        trace = self.sim.trace
-        if trace.wants("batch_requests"):
-            trace.emit(
-                self.sim.now, "batch_requests", actor=self.name,
-                rank=self.view, batch_id=batch.batch_id,
-                keys=tuple((e.client, e.req_id) for e in batch.entries),
-            )
         pre = PrePrepare(view=self.view, seq=batch.first_seq, batch=batch)
         signed = self.make_signed(pre)
         if self.fault.equivocates(self.sim.now):
@@ -258,32 +194,6 @@ class BftReplica(OrderProcessBase):
         else:
             self.multicast_payload(self.others, signed)
         self._accept_pre_prepare(signed)
-
-    def _apply_order_faults(self, batch: OrderBatch) -> OrderBatch:
-        mutated = tuple(
-            OrderEntry(
-                seq=e.seq,
-                req_digest=self.fault.mutate_order_digest(self.sim.now, e.req_digest),
-                client=e.client,
-                req_id=e.req_id,
-            )
-            for e in batch.entries
-        )
-        if mutated == batch.entries:
-            return batch
-        return OrderBatch(rank=batch.rank, batch_id=batch.batch_id, entries=mutated)
-
-    def _equivocating_twin(self, batch: OrderBatch) -> OrderBatch:
-        entries = tuple(
-            OrderEntry(
-                seq=e.seq,
-                req_digest=digest(self.config.scheme.digest, b"equiv" + e.req_digest),
-                client=e.client,
-                req_id=e.req_id,
-            )
-            for e in batch.entries
-        )
-        return OrderBatch(rank=batch.rank, batch_id=-batch.batch_id, entries=entries)
 
     # ------------------------------------------------------------------
     # Three-phase agreement
@@ -386,72 +296,33 @@ class BftReplica(OrderProcessBase):
         )
         self._execute_ready()
 
-    def _execute_ready(self) -> None:
-        progressed = False
-        while self._exec_next in self.committed_seqs:
-            batch = self.committed_seqs[self._exec_next]
-            for entry in batch.entries:
-                self.machine.apply(entry)
-                if self.config.send_replies and self.network.has_actor(entry.client):
-                    self.send_payload(
-                        entry.client,
-                        Reply(
-                            replier=self.name,
-                            client=entry.client,
-                            req_id=entry.req_id,
-                            seq=entry.seq,
-                            result_digest=result_digest(entry),
-                        ),
-                    )
-            self._exec_next = batch.last_seq + 1
-            progressed = True
-        if progressed:
-            self._maybe_emit_checkpoint()
+    def _committed_batch(self, first_seq: int) -> OrderBatch | None:
+        return self.committed_seqs.get(first_seq)
 
-    def _maybe_emit_checkpoint(self) -> None:
-        interval = self.config.checkpoint_interval
-        if interval <= 0:
-            return
-        applied = self.machine.applied_seq
-        if applied - self._last_checkpoint_seq < interval:
-            return
-        self._last_checkpoint_seq = applied
-        claim = SmrCheckpoint(
-            process=self.name, seq=applied, state_digest=self.machine.state_digest()
-        )
-        signed = self.make_signed(claim)
-        self._note_checkpoint(claim)
-        self.multicast_payload(self.others, signed)
+    def _sequenced_batches(self) -> Iterator[OrderBatch]:
+        return (s.batch for s in self.states.values() if s.batch is not None)
 
-    def _note_checkpoint(self, claim: SmrCheckpoint) -> None:
-        if self.checkpoints.note(claim):
-            stable = self.checkpoints.stable_seq
-            victims = [
-                key
-                for key, state in self.states.items()
-                if state.committed and state.batch is not None
-                and state.batch.last_seq <= stable
-            ]
-            for key in victims:
-                del self.states[key]
-            executed = [
-                seq
-                for seq, batch in self.committed_seqs.items()
-                if batch.last_seq <= stable and seq < self._exec_next
-            ]
-            for seq in executed:
-                del self.committed_seqs[seq]
-            self.trace("checkpoint_stable", seq=stable, dropped=len(victims))
+    def _collect_garbage(self, stable_seq: int) -> int:
+        victims = [
+            key
+            for key, state in self.states.items()
+            if state.committed and state.batch is not None
+            and state.batch.last_seq <= stable_seq
+        ]
+        for key in victims:
+            del self.states[key]
+        executed = [
+            seq
+            for seq, batch in self.committed_seqs.items()
+            if batch.last_seq <= stable_seq and seq < self._exec_next
+        ]
+        for seq in executed:
+            del self.committed_seqs[seq]
+        return len(victims)
 
     # ------------------------------------------------------------------
     # View change
     # ------------------------------------------------------------------
-    def _arm_liveness_timer(self) -> None:
-        if self._liveness_armed:
-            return
-        self._liveness_armed = True
-        self.set_timer(self.view_timeout / 2, self._liveness_tick)
-
     def _liveness_tick(self) -> None:
         self._liveness_armed = False
         if self.crashed:
@@ -460,7 +331,7 @@ class BftReplica(OrderProcessBase):
         waiting = any(k not in self.ordered_keys for k in self.pending) or any(
             not s.committed and s.pre_prepare is not None for s in self.states.values()
         )
-        if stalled and waiting and not self.is_primary:
+        if stalled and waiting and not self.is_ordering:
             self._call_view_change(self.view + 1)
         self._arm_liveness_timer()
 
@@ -565,21 +436,7 @@ class BftReplica(OrderProcessBase):
             pre: PrePrepare = signed_pre.body
             max_seq = max(max_seq, pre.batch.last_seq)
             self._accept_pre_prepare(signed_pre)
-        if self.is_primary:
+        if self.is_ordering:
             self.next_assign_seq = max(self.next_assign_seq, max_seq + 1)
             self._rebuild_unordered()
             self._arm_batch_timer()
-
-    def _rebuild_unordered(self) -> None:
-        sequenced: set[tuple[str, int]] = set()
-        for state in self.states.values():
-            if state.batch is None:
-                continue
-            for entry in state.batch.entries:
-                sequenced.add((entry.client, entry.req_id))
-        self.unordered = [
-            request
-            for key, request in sorted(self.pending.items())
-            if key not in sequenced
-        ]
-        self.ordered_keys = set(sequenced) | {r.key for r in self.unordered}

@@ -23,26 +23,21 @@ from __future__ import annotations
 from typing import Any
 
 from repro.calibration import CalibrationProfile
-from repro.core.batching import Batcher
-from repro.core.checkpoint import Checkpoint, CheckpointTracker
+from repro.core.checkpoint import Checkpoint
 from repro.core.config import ProtocolConfig
 from repro.core.install import BacklogView, compute_new_backlog
-from repro.core.log import OrderLog
-from repro.core.replies import Reply, result_digest
 from repro.core.messages import (
     Ack,
     BackLog,
     OrderBatch,
     SignedMessage,
     Start,
-    payload_size,
 )
-from repro.core.process import OrderProcessBase
+from repro.core.process import INSTALL_CLIENT, OrderLogProcess
 from repro.core.requests import ClientRequest
-from repro.core.sc import INSTALL_CLIENT, make_install_batch
-from repro.core.service import ReplicatedStateMachine
+from repro.core.sc import make_install_batch
 from repro.crypto.signing import SignatureProvider
-from repro.net.addresses import base_index, replica_name
+from repro.net.addresses import replica_name
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 
@@ -53,7 +48,7 @@ def _plain(body: Any) -> SignedMessage:
     return SignedMessage(body=body, signatures=())
 
 
-class CtProcess(OrderProcessBase):
+class CtProcess(OrderLogProcess):
     """One order process of the crash-tolerant baseline."""
 
     def __init__(
@@ -65,54 +60,33 @@ class CtProcess(OrderProcessBase):
         provider: SignatureProvider,
         calibration: CalibrationProfile,
     ) -> None:
-        super().__init__(sim, name, network, provider, calibration)
-        self.config = config
-        self.index = base_index(name)
-        self.c = 1
+        super().__init__(
+            sim, name, network, config, provider, calibration,
+            config.replica_names, quorum=config.replica_count - config.f,
+        )
         self.n = config.replica_count
-        self.quorum = self.n - config.f
-        self.log = OrderLog(self.quorum)
-        self.machine = ReplicatedStateMachine(name)
-        self.next_expected = 1
-        self._exec_next = 1
-        self.parked: dict[int, SignedMessage] = {}
-        self.unordered: list[ClientRequest] = []
-        self.ordered_keys: set[tuple[str, int]] = set()
+        self.quorum = self.log.quorum
         self.sequenced_keys: set[tuple[str, int]] = set()
-        self.next_assign_seq = 1
-        self.batch_counter = 0
-        self._batch_timer_armed = False
         # fail-over state
         self.installing = False
         self.install_target: int | None = None
         self.backlogs: dict[str, SignedMessage] = {}
         self._start_done: set[int] = set()
         self.last_heard_from_coordinator = 0.0
-        self._liveness_armed = False
-        self.crash_timeout = 10 * config.batching_interval
-        self.checkpoints = CheckpointTracker(config.f)
-        self._last_checkpoint_seq = 0
+        self.liveness_period = 10 * config.batching_interval  # the crash timeout
 
     # ------------------------------------------------------------------
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.config.replica_names
-
-    @property
-    def others(self) -> tuple[str, ...]:
-        return tuple(n for n in self.names if n != self.name)
-
     @property
     def coordinator(self) -> str:
         return replica_name(self.c)
 
     @property
-    def is_coordinator(self) -> bool:
+    def is_ordering(self) -> bool:
         return self.index == self.c and not self.installing
 
     def start(self) -> None:
         self.last_heard_from_coordinator = self.sim.now
-        if self.is_coordinator:
+        if self.is_ordering:
             self._arm_batch_timer()
         else:
             self._arm_liveness_timer()
@@ -128,7 +102,7 @@ class CtProcess(OrderProcessBase):
         if sender == self.coordinator:
             self.last_heard_from_coordinator = self.sim.now
         if isinstance(payload, ClientRequest):
-            self._on_request(payload)
+            self._on_request(sender, payload)
         elif isinstance(payload, SignedMessage):
             body = payload.body
             if isinstance(body, OrderBatch):
@@ -146,58 +120,11 @@ class CtProcess(OrderProcessBase):
     # ------------------------------------------------------------------
     # Coordinator: batch and disseminate (1 -> n)
     # ------------------------------------------------------------------
-    def _on_request(self, request: ClientRequest) -> None:
-        if not self.note_request(request):
-            return
-        if self.is_coordinator and request.key not in self.ordered_keys:
-            self.unordered.append(request)
-
-    def _arm_batch_timer(self) -> None:
-        if self._batch_timer_armed:
-            return
-        self._batch_timer_armed = True
-        self.set_timer(self.config.batching_interval, self._batch_tick)
-
-    def _batch_tick(self) -> None:
-        self._batch_timer_armed = False
-        if not self.is_coordinator or self.crashed:
-            return
-        trace = self.sim.trace
-        if trace.wants("queue_depth"):
-            trace.emit(self.sim.now, "queue_depth", actor=self.name,
-                       depth=len(self.unordered))
-        if self.unordered and not self.fault.withholds_orders(self.sim.now):
-            batcher = Batcher(self.config.batch_size_bytes)
-            requests = batcher.take(self.unordered)
-            del self.unordered[: len(requests)]
-            self.batch_counter += 1
-            batch = batcher.make_batch(
-                rank=self.c,
-                batch_id=self.batch_counter,
-                first_seq=self.next_assign_seq,
-                requests=requests,
-                digest_name=self.config.scheme.digest,
-            )
-            self.next_assign_seq = batch.last_seq + 1
-            for request in requests:
-                self.ordered_keys.add(request.key)
-            self.trace(
-                "batch_formed",
-                batch_id=batch.batch_id,
-                rank=batch.rank,
-                first_seq=batch.first_seq,
-                n_requests=len(batch.entries),
-            )
-            if trace.wants("batch_requests"):
-                trace.emit(
-                    self.sim.now, "batch_requests", actor=self.name,
-                    rank=batch.rank, batch_id=batch.batch_id,
-                    keys=tuple((e.client, e.req_id) for e in batch.entries),
-                )
-            order = _plain(batch)
-            self.multicast_payload(self.others, order)
-            self._process_order(order)
-        self._arm_batch_timer()
+    def _disseminate(self, batch: OrderBatch) -> None:
+        """1 → n: the bare order goes straight to every process."""
+        order = _plain(batch)
+        self.multicast_payload(self.others, order)
+        self._process_order(order)
 
     # ------------------------------------------------------------------
     # Normal part (same commit rule as SC)
@@ -211,18 +138,6 @@ class CtProcess(OrderProcessBase):
         if sender != self.coordinator:
             return
         self._process_order(signed)
-
-    def _process_order(self, signed: SignedMessage) -> None:
-        batch: OrderBatch = signed.body
-        if batch.first_seq > self.next_expected:
-            self.parked.setdefault(batch.first_seq, signed)
-            return
-        slot = self.log.slots.get(batch.first_seq)
-        if slot is not None and slot.acked:
-            return
-        self._ack_order(signed)
-        while self.next_expected in self.parked:
-            self._ack_order(self.parked.pop(self.next_expected))
 
     def _ack_order(self, signed: SignedMessage) -> None:
         batch: OrderBatch = signed.body
@@ -258,91 +173,18 @@ class CtProcess(OrderProcessBase):
         self.log.note_ack(ack.acker, ack.order, signed_ack)
         self._maybe_commit(body.first_seq)
 
-    def _maybe_commit(self, first_seq: int) -> None:
-        slot = self.log.slots.get(first_seq)
-        if slot is None or slot.committed or slot.order is None:
-            return
-        if not self.log.quorum_reached(slot):
-            return
-        batch: OrderBatch = slot.order.body
-        self.log.commit(slot, self.sim.now)
-        if batch.entries and batch.entries[0].client == INSTALL_CLIENT:
-            self.trace("install_committed", rank=batch.rank, start_seq=batch.first_seq)
-        else:
-            self.trace(
-                "order_committed",
-                batch_id=batch.batch_id,
-                rank=batch.rank,
-                first_seq=batch.first_seq,
-                n_requests=len(batch.entries),
-            )
-        self._execute_ready()
-
-    def _execute_ready(self) -> None:
-        progressed = False
-        while True:
-            slot = self.log.slots.get(self._exec_next)
-            if slot is None or not slot.committed or slot.order is None:
-                break
-            batch: OrderBatch = slot.order.body
-            for entry in batch.entries:
-                self.machine.apply(entry)
-                if (
-                    self.config.send_replies
-                    and entry.client != INSTALL_CLIENT
-                    and self.network.has_actor(entry.client)
-                ):
-                    self.send_payload(
-                        entry.client,
-                        Reply(
-                            replier=self.name,
-                            client=entry.client,
-                            req_id=entry.req_id,
-                            seq=entry.seq,
-                            result_digest=result_digest(entry),
-                        ),
-                    )
-            self._exec_next = batch.last_seq + 1
-            progressed = True
-        if progressed:
-            self._maybe_emit_checkpoint()
-
-    def _maybe_emit_checkpoint(self) -> None:
-        interval = self.config.checkpoint_interval
-        if interval <= 0:
-            return
-        applied = self.machine.applied_seq
-        if applied - self._last_checkpoint_seq < interval:
-            return
-        self._last_checkpoint_seq = applied
-        claim = Checkpoint(
-            process=self.name, seq=applied, state_digest=self.machine.state_digest()
-        )
-        self._note_checkpoint(claim)
-        self.multicast_payload(self.others, _plain(claim))
-
-    def _note_checkpoint(self, claim: Checkpoint) -> None:
-        if self.checkpoints.note(claim):
-            dropped = self.log.truncate_below(self.checkpoints.stable_seq)
-            self.trace(
-                "checkpoint_stable", seq=self.checkpoints.stable_seq, dropped=dropped
-            )
+    def _wrap_checkpoint(self, claim: Checkpoint) -> SignedMessage:
+        return _plain(claim)
 
     # ------------------------------------------------------------------
     # Crash fail-over (timeout-driven; CT tolerates crashes only)
     # ------------------------------------------------------------------
-    def _arm_liveness_timer(self) -> None:
-        if self._liveness_armed:
-            return
-        self._liveness_armed = True
-        self.set_timer(self.crash_timeout, self._liveness_tick)
-
     def _liveness_tick(self) -> None:
         self._liveness_armed = False
-        if self.crashed or self.is_coordinator:
+        if self.crashed or self.is_ordering:
             return
         silent = self.sim.now - self.last_heard_from_coordinator
-        if not self.installing and silent > self.crash_timeout and self.unassigned_work():
+        if not self.installing and silent > self.liveness_period and self.unassigned_work():
             self._begin_install()
         self._arm_liveness_timer()
 
@@ -450,24 +292,9 @@ class CtProcess(OrderProcessBase):
         self.next_expected = max(self.next_expected, start.start_seq)
         self._process_order(pseudo_signed)
         self._execute_ready()
-        if self.is_coordinator:
+        if self.is_ordering:
             self.next_assign_seq = start.start_seq + 1
             self._rebuild_unordered()
             self._arm_batch_timer()
         self.last_heard_from_coordinator = self.sim.now
         self._arm_liveness_timer()
-
-    def _rebuild_unordered(self) -> None:
-        sequenced: set[tuple[str, int]] = set()
-        for slot in self.log.slots.values():
-            if slot.order is None:
-                continue
-            batch: OrderBatch = slot.order.body
-            for entry in batch.entries:
-                sequenced.add((entry.client, entry.req_id))
-        self.unordered = [
-            request
-            for key, request in sorted(self.pending.items())
-            if key not in sequenced
-        ]
-        self.ordered_keys = set(sequenced) | {r.key for r in self.unordered}

@@ -1,4 +1,5 @@
-"""Shared plumbing for order processes (SC, SCR, and the baselines).
+"""Shared plumbing and the shared replication pipeline of every order
+process (SC, SCR, and the baselines).
 
 :class:`OrderProcessBase` wires an actor to the network with the cost
 accounting conventions used throughout the reproduction:
@@ -15,44 +16,78 @@ accounting conventions used throughout the reproduction:
 Fault plans (:mod:`repro.failures`) are consulted here for crash
 behaviour; richer Byzantine hooks are consulted by the protocol
 subclasses at their decision points.
+
+It also owns the steady-state **pipeline** — request intake → batch
+formation → (protocol-specific agreement) → in-order execution → client
+replies → checkpoint-driven truncation.  The paper attributes the
+latency gap between SC, CT and BFT to crypto cost and message rounds,
+so everything that is neither runs as the *same code* under all three.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.calibration import CalibrationProfile
+from repro.core.batching import Batcher
+from repro.core.checkpoint import Checkpoint, CheckpointTracker
+from repro.core.config import ProtocolConfig
+from repro.core.log import OrderLog
 from repro.core.messages import (
+    OrderBatch,
+    OrderEntry,
     SignedMessage,
     countersign,
     payload_size,
     sign_message,
     verify_signed,
 )
+from repro.core.replies import Reply, result_digest
 from repro.core.requests import ClientRequest
+from repro.core.service import ReplicatedStateMachine
 from repro.crypto.costs import OpCosts
+from repro.crypto.digests import digest
 from repro.crypto.signing import SignatureProvider
 from repro.failures.faults import FaultPlan
+from repro.net.addresses import base_index
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.sim.process import Actor
 
+#: Client-name marker of the pseudo order entry that carries a Start.
+INSTALL_CLIENT = "__install__"
+
 
 class OrderProcessBase(Actor):
-    """An order process attached to the simulated network."""
+    """An order process attached to the simulated network.
+
+    Subclasses get the whole pipeline and supply only what the paper
+    says differs between protocols: the "pipeline hooks" below, a
+    :meth:`handle` that routes client requests to :meth:`_on_request`,
+    and a call to :meth:`_execute_ready` whenever agreement commits.
+    ``names`` is the whole order-process group, this process included.
+    """
+
+    #: Prefix an equivocating coordinator salts its twin's digests with.
+    EQUIVOCATION_SALT = b"equivocate"
 
     def __init__(
         self,
         sim: Simulator,
         name: str,
         network: Network,
+        config: ProtocolConfig,
         provider: SignatureProvider,
         calibration: CalibrationProfile,
+        names: tuple[str, ...],
     ) -> None:
         super().__init__(sim, name)
         self.network = network
+        self.config = config
         self.provider = provider
         self.cal = calibration
+        self.index = base_index(name)
+        self.others = tuple(n for n in names if n != name)
         self.cost: OpCosts = calibration.crypto.for_scheme(provider.scheme)
         self.cpu.overload_gamma = calibration.overload_gamma
         self.fault = FaultPlan(active_from=float("inf"))
@@ -62,6 +97,20 @@ class OrderProcessBase(Actor):
         # True once the process has been turned "dumb" (Section 4.3):
         # it keeps executing but no longer transmits.
         self.dumb = False
+        # --- pipeline state -------------------------------------------
+        self.machine = ReplicatedStateMachine(name)
+        self._exec_next = 1  # next first_seq to execute
+        self.unordered: list[ClientRequest] = []
+        self.ordered_keys: set[tuple[str, int]] = set()
+        self.next_assign_seq = 1
+        self.batch_counter = 0
+        self._batch_timer_armed = False
+        self.checkpoints = CheckpointTracker(config.f)
+        self._last_checkpoint_seq = 0
+        # Timeout-driven coordinator suspicion: CT and BFT set the period
+        # and define ``_liveness_tick``; SC's pairs check each other instead.
+        self.liveness_period = 0.0
+        self._liveness_armed = False
         network.attach(self)
 
     # ------------------------------------------------------------------
@@ -255,3 +304,284 @@ class OrderProcessBase(Actor):
         self.pending[request.key] = request
         self.request_arrival[request.key] = self.sim.now
         return True
+
+    # ------------------------------------------------------------------
+    # Pipeline hooks (what differs between protocols)
+    # ------------------------------------------------------------------
+    @property
+    def is_ordering(self) -> bool:
+        """Whether this process assigns sequence numbers right now."""
+        raise NotImplementedError
+
+    @property
+    def order_rank(self) -> int:
+        """The coordinator rank / view new batches are formed under."""
+        raise NotImplementedError
+
+    def _disseminate(self, batch: OrderBatch) -> None:
+        """Start agreement on a freshly formed batch."""
+        raise NotImplementedError
+
+    def _committed_batch(self, first_seq: int) -> OrderBatch | None:
+        """The committed batch starting at ``first_seq``, if any."""
+        raise NotImplementedError
+
+    def _sequenced_batches(self) -> Iterator[OrderBatch]:
+        """Every batch this process has seen sequenced, committed or not."""
+        raise NotImplementedError
+
+    def _collect_garbage(self, stable_seq: int) -> int:
+        """Discard agreement state a stable checkpoint at ``stable_seq``
+        covers; returns how many batches were dropped."""
+        raise NotImplementedError
+
+    def _wrap_checkpoint(self, claim: Checkpoint) -> SignedMessage:
+        """The wire form of this process's own checkpoint claim."""
+        return self.make_signed(claim)
+
+    # ------------------------------------------------------------------
+    # Pipeline: intake and batch formation (the ordering process)
+    # ------------------------------------------------------------------
+    def _on_request(self, sender: str, request: ClientRequest) -> bool:
+        """Pool a client request; False if it was already known."""
+        if not self.note_request(request):
+            return False
+        if self.is_ordering and request.key not in self.ordered_keys:
+            self.unordered.append(request)
+        return True
+
+    def _arm_batch_timer(self) -> None:
+        if self._batch_timer_armed:
+            return
+        self._batch_timer_armed = True
+        self.set_timer(self.config.batching_interval, self._batch_tick)
+
+    def _arm_liveness_timer(self) -> None:
+        if self._liveness_armed:
+            return
+        self._liveness_armed = True
+        self.set_timer(self.liveness_period, self._liveness_tick)
+
+    def _batch_tick(self) -> None:
+        self._batch_timer_armed = False
+        if not self.is_ordering or self.crashed:
+            return
+        self._emit_queue_depth()
+        if self.unordered and not self.fault.withholds_orders(self.sim.now):
+            self._propose_next_batch()
+        self._arm_batch_timer()
+
+    def _emit_queue_depth(self) -> None:
+        trace = self.sim.trace
+        if trace.wants("queue_depth"):
+            trace.emit(self.sim.now, "queue_depth", actor=self.name,
+                       depth=len(self.unordered))
+
+    def _propose_next_batch(self) -> None:
+        """Cut the next batch from ``unordered`` and disseminate it."""
+        batcher = Batcher(self.config.batch_size_bytes)
+        requests = batcher.take(self.unordered)
+        del self.unordered[: len(requests)]
+        self.batch_counter += 1
+        batch = batcher.make_batch(
+            rank=self.order_rank,
+            batch_id=self.batch_counter,
+            first_seq=self.next_assign_seq,
+            requests=requests,
+            digest_name=self.config.scheme.digest,
+        )
+        self.next_assign_seq = batch.last_seq + 1
+        for request in requests:
+            self.ordered_keys.add(request.key)
+        self.trace(
+            "batch_formed",
+            batch_id=batch.batch_id,
+            rank=batch.rank,
+            first_seq=batch.first_seq,
+            n_requests=len(batch.entries),
+        )
+        trace = self.sim.trace
+        if trace.wants("batch_requests"):
+            trace.emit(
+                self.sim.now, "batch_requests", actor=self.name,
+                rank=batch.rank, batch_id=batch.batch_id,
+                keys=tuple((entry.client, entry.req_id) for entry in batch.entries),
+            )
+        self._disseminate(batch)
+
+    def _apply_order_faults(self, batch: OrderBatch) -> OrderBatch:
+        """A Byzantine coordinator's value-domain fault: the batch with
+        whatever digests its fault plan corrupts.  Called by the
+        protocols that model such coordinators (not by CT)."""
+        mutated = tuple(
+            OrderEntry(
+                seq=entry.seq,
+                req_digest=self.fault.mutate_order_digest(self.sim.now, entry.req_digest),
+                client=entry.client,
+                req_id=entry.req_id,
+            )
+            for entry in batch.entries
+        )
+        if mutated == batch.entries:
+            return batch
+        return OrderBatch(rank=batch.rank, batch_id=batch.batch_id, entries=mutated)
+
+    def _equivocating_twin(self, batch: OrderBatch) -> OrderBatch:
+        """A conflicting batch for the same sequence numbers."""
+        entries = tuple(
+            OrderEntry(
+                seq=entry.seq,
+                req_digest=digest(
+                    self.config.scheme.digest, self.EQUIVOCATION_SALT + entry.req_digest
+                ),
+                client=entry.client,
+                req_id=entry.req_id,
+            )
+            for entry in batch.entries
+        )
+        return OrderBatch(rank=batch.rank, batch_id=-batch.batch_id, entries=entries)
+
+    def _rebuild_unordered(self) -> None:
+        """A new coordinator re-queues every known request that is not
+        already covered by a committed or live order."""
+        sequenced = {
+            (entry.client, entry.req_id)
+            for batch in self._sequenced_batches()
+            for entry in batch.entries
+        }
+        self.unordered = [
+            request
+            for key, request in sorted(self.pending.items())
+            if key not in sequenced
+        ]
+        self.ordered_keys = sequenced | {r.key for r in self.unordered}
+
+    # ------------------------------------------------------------------
+    # Pipeline: execution, replies, checkpoints (every process)
+    # ------------------------------------------------------------------
+    def _execute_ready(self) -> None:
+        """Apply committed batches in sequence order, as far as they go."""
+        progressed = False
+        while (batch := self._committed_batch(self._exec_next)) is not None:
+            for entry in batch.entries:
+                self.machine.apply(entry)
+            self._exec_next = batch.last_seq + 1
+            progressed = True
+            if self.config.send_replies:
+                self._send_replies(batch)
+        if progressed:
+            self._maybe_emit_checkpoint()
+
+    def _send_replies(self, batch: OrderBatch) -> None:
+        for entry in batch.entries:
+            if entry.client == INSTALL_CLIENT or not self.network.has_actor(entry.client):
+                continue
+            self.send_payload(
+                entry.client,
+                Reply(
+                    replier=self.name,
+                    client=entry.client,
+                    req_id=entry.req_id,
+                    seq=entry.seq,
+                    result_digest=result_digest(entry),
+                ),
+            )
+
+    def _maybe_emit_checkpoint(self) -> None:
+        """Log truncation at ``f + 1`` matching state digests."""
+        interval = self.config.checkpoint_interval
+        if interval <= 0:
+            return
+        applied = self.machine.applied_seq
+        if applied - self._last_checkpoint_seq < interval:
+            return
+        self._last_checkpoint_seq = applied
+        claim = Checkpoint(
+            process=self.name, seq=applied, state_digest=self.machine.state_digest()
+        )
+        wrapped = self._wrap_checkpoint(claim)
+        self._note_checkpoint(claim)
+        self.multicast_payload(self.others, wrapped)
+
+    def _on_checkpoint(self, sender: str, signed: SignedMessage) -> None:
+        claim: Checkpoint = signed.body
+        if sender != claim.process or not self.check_signed(signed, (claim.process,)):
+            return
+        self._note_checkpoint(claim)
+
+    def _note_checkpoint(self, claim: Checkpoint) -> None:
+        if self.checkpoints.note(claim):
+            stable = self.checkpoints.stable_seq
+            dropped = self._collect_garbage(stable)
+            self.trace("checkpoint_stable", seq=stable, dropped=dropped)
+
+
+class OrderLogProcess(OrderProcessBase):
+    """An order process that commits through an :class:`OrderLog`: an
+    in-sequence order is acked (N1) and commits on ack-or-order evidence
+    from ``quorum`` distinct processes (N2, N3).  SC and CT share this
+    rule; they differ in :meth:`_ack_order` (what an ack carries)."""
+
+    def __init__(self, *args: Any, quorum: int) -> None:
+        super().__init__(*args)
+        self.c = 1  # rank of the current coordinator
+        self.log = OrderLog(quorum)
+        self.next_expected = 1  # next first_seq this process may ack
+        self.parked: dict[int, SignedMessage] = {}
+
+    @property
+    def order_rank(self) -> int:
+        return self.c
+
+    def _ack_order(self, signed: SignedMessage) -> None:
+        """N1: adopt the order, multicast this process's ack."""
+        raise NotImplementedError
+
+    def _process_order(self, signed: SignedMessage) -> None:
+        """N1 for an authenticated order: ack if in-sequence."""
+        batch: OrderBatch = signed.body
+        if batch.first_seq > self.next_expected:
+            self.parked.setdefault(batch.first_seq, signed)
+            return
+        if batch.first_seq < self.next_expected:
+            slot = self.log.slots.get(batch.first_seq)
+            if slot is not None and slot.acked:
+                return  # duplicate
+        self._ack_order(signed)
+        # Drain any parked successors.
+        while self.next_expected in self.parked:
+            self._ack_order(self.parked.pop(self.next_expected))
+
+    def _maybe_commit(self, first_seq: int) -> None:
+        slot = self.log.slots.get(first_seq)
+        if slot is None or slot.committed or slot.order is None:
+            return
+        if not self.log.quorum_reached(slot):
+            return
+        batch: OrderBatch = slot.order.body
+        self.log.commit(slot, self.sim.now)
+        if batch.entries and batch.entries[0].client == INSTALL_CLIENT:
+            self.trace("install_committed", rank=batch.rank, start_seq=batch.first_seq)
+        else:
+            self.trace(
+                "order_committed",
+                batch_id=batch.batch_id,
+                rank=batch.rank,
+                first_seq=batch.first_seq,
+                n_requests=len(batch.entries),
+            )
+        self._execute_ready()
+
+    def _committed_batch(self, first_seq: int) -> OrderBatch | None:
+        slot = self.log.slots.get(first_seq)
+        if slot is None or not slot.committed or slot.order is None:
+            return None
+        return slot.order.body
+
+    def _sequenced_batches(self) -> Iterator[OrderBatch]:
+        return (
+            slot.order.body for slot in self.log.slots.values() if slot.order is not None
+        )
+
+    def _collect_garbage(self, stable_seq: int) -> int:
+        return self.log.truncate_below(stable_seq)

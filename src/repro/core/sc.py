@@ -34,17 +34,14 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.calibration import CalibrationProfile
-from repro.core.batching import Batcher
-from repro.core.checkpoint import Checkpoint, CheckpointTracker
+from repro.core.checkpoint import Checkpoint
 from repro.core.config import ProtocolConfig
-from repro.core.replies import Reply, result_digest
 from repro.core.install import (
     BacklogView,
     as_view,
     compute_new_backlog,
     verify_start_against_backlogs,
 )
-from repro.core.log import OrderLog
 from repro.core.messages import (
     Ack,
     BackLog,
@@ -74,20 +71,16 @@ from repro.core.pair import (
     fail_signal_pair_rank,
     validate_order_batch,
 )
-from repro.core.process import OrderProcessBase
+from repro.core.process import INSTALL_CLIENT, OrderLogProcess
 from repro.core.requests import ClientRequest
-from repro.core.service import ReplicatedStateMachine
 from repro.core.suspicion import ExpectationMonitor, OrderProductionWatch
 from repro.crypto.digests import digest
 from repro.crypto.encoding import canonical_bytes
 from repro.crypto.signing import Signature, SignatureProvider
 from repro.errors import ProtocolError
-from repro.net.addresses import base_index, is_shadow, pair_of, replica_name
+from repro.net.addresses import is_shadow, pair_of
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
-
-#: Client-name marker of the pseudo order entry that carries a Start.
-INSTALL_CLIENT = "__install__"
 
 #: Message types handled at interrupt level (see ``is_urgent``); built
 #: once — the check runs on every delivery.
@@ -109,7 +102,7 @@ def make_install_batch(
     return OrderBatch(rank=start.new_rank, batch_id=-start.new_rank, entries=(entry,))
 
 
-class ScProcess(OrderProcessBase):
+class ScProcess(OrderLogProcess):
     """One order process of the SC protocol."""
 
     def __init__(
@@ -122,9 +115,10 @@ class ScProcess(OrderProcessBase):
         calibration: CalibrationProfile,
         fail_signal_blank: tuple[FailSignalBody, Signature] | None = None,
     ) -> None:
-        super().__init__(sim, name, network, provider, calibration)
-        self.config = config
-        self.index = base_index(name)
+        super().__init__(
+            sim, name, network, config, provider, calibration,
+            config.process_names, quorum=config.order_quorum,
+        )
         self.shadow = is_shadow(name)
         self.paired = config.is_paired(self.index)
         self.counterpart = pair_of(name) if self.paired else None
@@ -133,22 +127,9 @@ class ScProcess(OrderProcessBase):
             raise ProtocolError(f"paired process {name} needs a fail-signal blank")
 
         # --- ordering state -------------------------------------------
-        self.c = 1
-        self.log = OrderLog(config.order_quorum)
-        self.machine = ReplicatedStateMachine(name)
-        self.next_expected = 1  # next first_seq this process may ack
-        self._exec_next = 1  # next first_seq to execute
-        self.parked: dict[int, SignedMessage] = {}
         self.n_eff = config.n
         self.f_eff = config.f
         self.dumb_ranks: set[int] = set()
-
-        # --- coordinator state ----------------------------------------
-        self.unordered: list[ClientRequest] = []
-        self.ordered_keys: set[tuple[str, int]] = set()
-        self.next_assign_seq = 1
-        self.batch_counter = 0
-        self._batch_timer_armed = False
 
         # --- shadow endorsement state ---------------------------------
         self.next_endorse_seq = 1
@@ -195,28 +176,18 @@ class ScProcess(OrderProcessBase):
         self._future_orders: list[tuple[str, SignedMessage]] = []
         self._early_bundles: list[tuple[str, SupportBundle]] = []
 
-        # --- checkpointing ---------------------------------------------
-        self.checkpoints = CheckpointTracker(config.f)
-        self._last_checkpoint_seq = 0
-
     # ==================================================================
     # Role helpers
     # ==================================================================
     @property
-    def coordinator_members(self) -> tuple[str, ...]:
-        return self.config.coordinator_members(self.c)
-
-    @property
     def is_coordinating_replica(self) -> bool:
         return not self.shadow and self.index == self.c and not self.installing
+
+    is_ordering = is_coordinating_replica
 
     @property
     def is_coordinating_shadow(self) -> bool:
         return self.shadow and self.index == self.c and not self.installing
-
-    @property
-    def others(self) -> tuple[str, ...]:
-        return tuple(n for n in self.config.process_names if n != self.name)
 
     def start(self) -> None:
         """Arm timers appropriate to this process's initial role."""
@@ -319,70 +290,36 @@ class ScProcess(OrderProcessBase):
     # ==================================================================
     # Client requests and batching (coordinator normal part)
     # ==================================================================
-    def _on_request(self, sender: str, request: ClientRequest) -> None:
-        if not self.note_request(request):
-            return
+    def _on_request(self, sender: str, request: ClientRequest) -> bool:
+        if not super()._on_request(sender, request):
+            return False
         if self.paired and self.config.pair_forwarding and not self.pair_down:
             self.send_pair(
                 self.counterpart,
                 PairForward(sender, request, request.size_bytes),
             )
-        if self.is_coordinating_replica and request.key not in self.ordered_keys:
-            self.unordered.append(request)
         if self.is_coordinating_shadow:
             self.watch.note_request(request.key)
             self._retry_deferred()
-
-    def _arm_batch_timer(self) -> None:
-        if self._batch_timer_armed:
-            return
-        self._batch_timer_armed = True
-        self.set_timer(self.config.batching_interval, self._batch_tick)
+        return True
 
     def _batch_tick(self) -> None:
+        """Unlike CT/BFT, a crashed or withholding coordinator replica
+        keeps its timer running (and stays silent, ``queue_depth``
+        included): its shadow's deadlines, not the tick, detect it."""
         self._batch_timer_armed = False
         if not self.is_coordinating_replica or self.pair_down and self.paired:
             return
-        self._form_and_propose_batch()
+        if not (self.crashed or self.fault.withholds_orders(self.sim.now)):
+            self._emit_queue_depth()
+            if self.unordered:
+                self._propose_next_batch()
         self._arm_batch_timer()
 
-    def _form_and_propose_batch(self) -> None:
-        if self.crashed or self.fault.withholds_orders(self.sim.now):
-            return
-        trace = self.sim.trace
-        if trace.wants("queue_depth"):
-            trace.emit(self.sim.now, "queue_depth", actor=self.name,
-                       depth=len(self.unordered))
-        if not self.unordered:
-            return
-        batcher = Batcher(self.config.batch_size_bytes)
-        requests = batcher.take(self.unordered)
-        del self.unordered[: len(requests)]
-        self.batch_counter += 1
-        batch = batcher.make_batch(
-            rank=self.c,
-            batch_id=self.batch_counter,
-            first_seq=self.next_assign_seq,
-            requests=requests,
-            digest_name=self.config.scheme.digest,
-        )
-        self.next_assign_seq = batch.last_seq + 1
-        for request in requests:
-            self.ordered_keys.add(request.key)
+    def _disseminate(self, batch: OrderBatch) -> None:
+        """Phase 1 (1 → 1): sign the batch and send it to the shadow
+        for endorsement, under an endorsement deadline."""
         batch = self._apply_order_faults(batch)
-        self.trace(
-            "batch_formed",
-            batch_id=batch.batch_id,
-            rank=batch.rank,
-            first_seq=batch.first_seq,
-            n_requests=len(batch.entries),
-        )
-        if trace.wants("batch_requests"):
-            trace.emit(
-                self.sim.now, "batch_requests", actor=self.name,
-                rank=batch.rank, batch_id=batch.batch_id,
-                keys=tuple((entry.client, entry.req_id) for entry in batch.entries),
-            )
         signed = self.make_signed(batch)
         self.proposed[batch.first_seq] = batch
         if self.paired:
@@ -396,34 +333,6 @@ class ScProcess(OrderProcessBase):
             # are accepted directly (SC2 guarantees it is non-faulty).
             self.multicast_payload(self.others, signed)
             self._process_order(signed)
-
-    def _apply_order_faults(self, batch: OrderBatch) -> OrderBatch:
-        mutated = tuple(
-            OrderEntry(
-                seq=entry.seq,
-                req_digest=self.fault.mutate_order_digest(self.sim.now, entry.req_digest),
-                client=entry.client,
-                req_id=entry.req_id,
-            )
-            for entry in batch.entries
-        )
-        if mutated == batch.entries:
-            return batch
-        return OrderBatch(rank=batch.rank, batch_id=batch.batch_id, entries=mutated)
-
-    def _equivocating_twin(self, batch: OrderBatch) -> OrderBatch:
-        entries = tuple(
-            OrderEntry(
-                seq=entry.seq,
-                req_digest=digest(
-                    self.config.scheme.digest, b"equivocate" + entry.req_digest
-                ),
-                client=entry.client,
-                req_id=entry.req_id,
-            )
-            for entry in batch.entries
-        )
-        return OrderBatch(rank=batch.rank, batch_id=-batch.batch_id, entries=entries)
 
     def _endorse_deadline(self) -> float:
         """Deadline for the counterpart's endorsement of a proposal.
@@ -584,21 +493,6 @@ class ScProcess(OrderProcessBase):
             self.multicast_payload(self.others, signed)
         self._process_order(signed)
 
-    def _process_order(self, signed: SignedMessage) -> None:
-        """N1 for an authenticated order: ack if in-sequence."""
-        batch: OrderBatch = signed.body
-        if batch.first_seq > self.next_expected:
-            self.parked.setdefault(batch.first_seq, signed)
-            return
-        if batch.first_seq < self.next_expected:
-            slot = self.log.slots.get(batch.first_seq)
-            if slot is not None and slot.acked:
-                return  # duplicate
-        self._ack_order(signed)
-        # Drain any parked successors.
-        while self.next_expected in self.parked:
-            self._ack_order(self.parked.pop(self.next_expected))
-
     def _ack_order(self, signed: SignedMessage) -> None:
         batch: OrderBatch = signed.body
         slot = self.log.note_order(signed)
@@ -657,92 +551,10 @@ class ScProcess(OrderProcessBase):
         except Exception:
             return None
 
-    def _maybe_commit(self, first_seq: int) -> None:
-        slot = self.log.slots.get(first_seq)
-        if slot is None or slot.committed or slot.order is None:
-            return
-        if not self.log.quorum_reached(slot):
-            return
-        batch: OrderBatch = slot.order.body
-        self.log.commit(slot, self.sim.now)
-        if batch.entries and batch.entries[0].client == INSTALL_CLIENT:
-            self.trace(
-                "install_committed", rank=batch.rank, start_seq=batch.first_seq
-            )
-        else:
-            self.trace(
-                "order_committed",
-                batch_id=batch.batch_id,
-                rank=batch.rank,
-                first_seq=batch.first_seq,
-                n_requests=len(batch.entries),
-            )
-        self._execute_ready()
-
-    def _execute_ready(self) -> None:
-        progressed = False
-        while True:
-            slot = self.log.slots.get(self._exec_next)
-            if slot is None or not slot.committed or slot.order is None:
-                break
-            batch: OrderBatch = slot.order.body
-            for entry in batch.entries:
-                self.machine.apply(entry)
-            self._exec_next = batch.last_seq + 1
-            progressed = True
-            if self.config.send_replies:
-                self._send_replies(batch)
-        if progressed:
-            self._maybe_emit_checkpoint()
-
-    def _send_replies(self, batch: OrderBatch) -> None:
-        for entry in batch.entries:
-            if entry.client == INSTALL_CLIENT:
-                continue
-            if not self.network.has_actor(entry.client):
-                continue
-            self.send_payload(
-                entry.client,
-                Reply(
-                    replier=self.name,
-                    client=entry.client,
-                    req_id=entry.req_id,
-                    seq=entry.seq,
-                    result_digest=result_digest(entry),
-                ),
-            )
-
-    # ==================================================================
-    # Checkpointing (log truncation at f+1 matching state digests)
-    # ==================================================================
-    def _maybe_emit_checkpoint(self) -> None:
-        interval = self.config.checkpoint_interval
-        if interval <= 0:
-            return
-        applied = self.machine.applied_seq
-        if applied - self._last_checkpoint_seq < interval:
-            return
-        self._last_checkpoint_seq = applied
-        claim = Checkpoint(
-            process=self.name, seq=applied, state_digest=self.machine.state_digest()
-        )
+    def _wrap_checkpoint(self, claim: Checkpoint) -> SignedMessage:
         signed = self.make_signed(claim)
-        self.trace("checkpoint_emitted", seq=applied)
-        self._note_checkpoint(claim)
-        self.multicast_payload(self.others, signed)
-
-    def _on_checkpoint(self, sender: str, signed: SignedMessage) -> None:
-        claim: Checkpoint = signed.body
-        if sender != claim.process or not self.check_signed(signed, (claim.process,)):
-            return
-        self._note_checkpoint(claim)
-
-    def _note_checkpoint(self, claim: Checkpoint) -> None:
-        if self.checkpoints.note(claim):
-            dropped = self.log.truncate_below(self.checkpoints.stable_seq)
-            self.trace(
-                "checkpoint_stable", seq=self.checkpoints.stable_seq, dropped=dropped
-            )
+        self.trace("checkpoint_emitted", seq=claim.seq)
+        return signed
 
     # ==================================================================
     # Fail-signalling (Section 3.2)
@@ -1196,25 +1008,6 @@ class ScProcess(OrderProcessBase):
         for sender, signed in replay:
             self._on_order(sender, signed)
 
-    def _rebuild_unordered(self) -> None:
-        """The new coordinator re-queues every known request that is not
-        already covered by a committed or live order."""
-        sequenced: set[tuple[str, int]] = set()
-        for slot in self.log.slots.values():
-            if slot.order is None:
-                continue
-            batch: OrderBatch = slot.order.body
-            for entry in batch.entries:
-                sequenced.add((entry.client, entry.req_id))
-        self.unordered = [
-            request
-            for key, request in sorted(self.pending.items())
-            if key not in sequenced
-        ]
-        self.ordered_keys = set(sequenced)
-        for request in self.unordered:
-            self.ordered_keys.add(request.key)
-
     # ==================================================================
     # Catch-up (IN5's "f+1 agreeing order messages")
     # ==================================================================
@@ -1326,11 +1119,3 @@ class ScProcess(OrderProcessBase):
             + self.config.pair_delay_estimate
             + self._processing_margin
         )
-
-
-def pair_of_or_none(name: str) -> str | None:
-    """``pair_of`` that tolerates non-process names."""
-    try:
-        return pair_of(name)
-    except Exception:
-        return None

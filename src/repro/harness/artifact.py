@@ -16,8 +16,8 @@ Schema (version 3)::
       "git_sha": "<40 hex chars or 'unknown'>",
       "created_at": "2026-07-29T12:00:00Z",
       "wall_time_s": 12.34,
-      "events_total": 1234567,          # v2: simulator events, all points
-      "events_per_second": 430000.0,    # v2: events_total / wall_time_s
+      "events_total": 1234567,          # simulator events, all points
+      "events_per_second": 430000.0,    # events_total / wall_time_s
       "env": {"python": ..., "implementation": ..., "platform": ...,
               "machine": ..., "cpu_count": ...},
       "params": {...sweep parameters, free-form...},
@@ -25,28 +25,27 @@ Schema (version 3)::
         {"id": "order/sc/md5-rsa1024/f2/i0.04/s1",
          "kind": "order", "protocol": "sc", "scheme": "md5-rsa1024",
          "f": 2, "x": 0.04,
-         "probes": ["order-latency", "throughput"],  # v3
+         "probes": ["order-latency", "throughput"],
          "metrics": {"latency_mean": ..., "throughput": ...},
          "wall_time_s": 1.2,
-         "events": 56789,               # v2: deterministic event count
-         "events_per_second": 47324.2}, # v2: events / wall_time_s
+         "events": 56789,               # deterministic event count
+         "events_per_second": 47324.2}, # events / wall_time_s
         ...
       ]
     }
 
 ``points[*].id`` is the stable join key the baseline comparator
 matches on; ``metrics`` values are deterministic simulation outputs.
-Version 2 added the **wall-time telemetry** (``events``/
-``events_per_second`` per point and per suite) so a harness slowdown
-is visible in the artifact trail; these fields are informational and
-never gated — only ``metrics`` is — because wall time varies between
-machines.  Version 3 makes the metric map **probe-emitted**: each
-point records which registered measurement probes
-(:mod:`repro.harness.probes`) produced its metrics, so a document is
-self-describing about *what* was measured, and the baseline gate keys
-purely on metric names whichever probes emitted them.  The reader
-accepts version 1 and 2 documents unchanged (``probes`` reads as
-absent there).
+The **wall-time telemetry** (``events``/``events_per_second`` per
+point and per suite) makes a harness slowdown visible in the artifact
+trail; these fields are informational and never gated — only
+``metrics`` is — because wall time varies between machines.  The
+metric map is **probe-emitted**: each point records which registered
+measurement probes (:mod:`repro.harness.probes`) produced its metrics,
+so a document is self-describing about *what* was measured, and the
+baseline gate keys purely on metric names whichever probes emitted
+them.  Versions 1 (no telemetry) and 2 (no probe names) are no longer
+read: every committed artifact is version 3.
 """
 
 from __future__ import annotations
@@ -65,14 +64,13 @@ from repro.harness.runner import PointResult
 
 #: Version written by this build.  Bump on incompatible layout change.
 SCHEMA_VERSION = 3
-#: Versions :func:`load_artifact` accepts (v1 lacks the telemetry
-#: fields, v1/v2 lack per-point probe names; every key kept its
-#: meaning across versions).
-SUPPORTED_VERSIONS = (1, 2, 3)
+#: Versions :func:`load_artifact` accepts.
+SUPPORTED_VERSIONS = (3,)
 
 _REQUIRED_KEYS = (
     "schema_version", "figure", "git_sha", "created_at",
-    "wall_time_s", "env", "params", "points",
+    "wall_time_s", "events_total", "events_per_second",
+    "env", "params", "points",
 )
 _REQUIRED_POINT_KEYS = ("id", "kind", "protocol", "scheme", "f", "x", "metrics")
 
@@ -113,7 +111,7 @@ class BenchArtifact:
     created_at: str = ""
     env: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
-    #: v2 wall-time telemetry (0 on documents loaded from v1).
+    #: Wall-time telemetry (informational, never gated).
     events_total: int = 0
     events_per_second: float = 0.0
 
@@ -229,12 +227,8 @@ def validate(data: dict) -> dict:
             raise ConfigError(f"artifact point {i} missing keys: {missing}")
         if not isinstance(point["metrics"], dict):
             raise ConfigError(f"artifact point {i} 'metrics' must be an object")
-        if data["schema_version"] >= 3 and not isinstance(
-            point.get("probes"), list
-        ):
-            raise ConfigError(
-                f"artifact point {i} needs a 'probes' list (schema v3)"
-            )
+        if not isinstance(point.get("probes"), list):
+            raise ConfigError(f"artifact point {i} needs a 'probes' list")
     ids = [point["id"] for point in data["points"]]
     if len(set(ids)) != len(ids):
         duplicates = sorted({pid for pid in ids if ids.count(pid) > 1})
@@ -247,8 +241,8 @@ def events_by_point(artifact: BenchArtifact) -> dict[str, float]:
 
     The deterministic per-point event counts double as a perfect
     relative-cost oracle for the dispatch scheduler
-    (:mod:`repro.harness.exec.schedule`); v1 documents carry none and
-    contribute an empty mapping.
+    (:mod:`repro.harness.exec.schedule`); points measured outside
+    the simulator (live runs) carry none and are skipped.
     """
     return {
         point["id"]: float(point["events"])
@@ -288,7 +282,6 @@ def load_artifact(path: str | Path) -> BenchArtifact:
         created_at=data["created_at"],
         env=data["env"],
         schema_version=data["schema_version"],
-        # Telemetry arrived with v2; v1 baselines read as zeros.
-        events_total=data.get("events_total", 0),
-        events_per_second=data.get("events_per_second", 0.0),
+        events_total=data["events_total"],
+        events_per_second=data["events_per_second"],
     )

@@ -10,7 +10,7 @@ scheduling decision, not an accident).
 
 Costs come from two sources, best first:
 
-* **prior-artifact telemetry** — schema-v2 ``BENCH_*.json`` documents
+* **prior-artifact telemetry** — ``BENCH_*.json`` documents
   record deterministic per-point ``events`` counts; a previous run of
   the same grid is therefore a perfect cost oracle
   (:func:`load_cost_hints` harvests a directory of artifacts);
@@ -89,9 +89,9 @@ def load_cost_hints(json_dir: str | Path | None) -> dict[str, float]:
     """Harvest ``{point_id: events}`` from every readable
     ``BENCH_*.json`` under ``json_dir``.
 
-    Schema-v1 documents carry no telemetry and contribute nothing;
-    unreadable files are skipped (hints are an optimisation, never a
-    requirement).  Returns ``{}`` for ``None`` / missing directories.
+    Unreadable files (documents of an older schema included) are
+    skipped: hints are an optimisation, never a requirement.  Returns
+    ``{}`` for ``None`` / missing directories.
     """
     from repro.harness.artifact import events_by_point, load_artifact
 

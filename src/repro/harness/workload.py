@@ -36,10 +36,11 @@ def arrival_times(
 ) -> Iterator[float]:
     """Yield the absolute arrival instants of one open-loop stream.
 
-    Arrivals lie in the half-open window ``[start, start + duration)``:
-    ``start`` offsets the whole stream and the duration check is
-    relative to it, so a late-starting stream still emits for its full
-    ``duration``.  ``spacing="poisson"`` requires a seeded ``rng``;
+    Arrivals lie in the half-open window ``[start, start + duration)``,
+    measured relative to ``start`` (``0 <= t - start < duration``, which
+    in floating point is not the same test as ``t < start + duration``):
+    ``start`` offsets the whole stream, so a late-starting stream still
+    emits for its full ``duration``.  ``spacing="poisson"`` requires a seeded ``rng``;
     ``spacing="uniform"`` is deterministic and *rejects* one (silently
     accepting an unused rng hid seeding bugs).
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import asyncio
 import os
 
+from repro.core.process import OrderProcessBase
 from repro.errors import ProtocolError
 from repro.net import framing
 from repro.protocols.runtime import install_prefix, replay_history
@@ -253,7 +254,7 @@ class PrefixFetcher:
         trace.emit(self.runtime.now, "rejoin_complete", node=self.name, **stats)
         return stats
 
-    async def catchup_forever(self, process) -> None:
+    async def catchup_forever(self, process: OrderProcessBase) -> None:
         """Anti-entropy: pull rows the live protocol hasn't executed.
 
         Runs until cancelled.  Each round asks a peer for rows past
@@ -274,8 +275,7 @@ class PrefixFetcher:
                     continue
                 replay_history(self.name, fresh, base=machine)
                 install_prefix(process, machine)
-                if hasattr(process, "_execute_ready"):
-                    process._execute_ready()
+                process._execute_ready()
                 self.runtime.trace.emit(
                     self.runtime.now,
                     "catchup_applied",

@@ -27,10 +27,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import SimulationError
 from repro.sim.trace import Tracer
+
+if TYPE_CHECKING:  # this module stays kernel-free at run time
+    from repro.core.process import OrderProcessBase
+    from repro.core.service import ReplicatedStateMachine
 
 
 class StepTimer:
@@ -360,14 +364,16 @@ def replay_history(
     return machine
 
 
-def install_prefix(process, machine) -> int:
+def install_prefix(process: OrderProcessBase, machine: ReplicatedStateMachine) -> int:
     """Adopt a verified replayed ``machine`` as ``process``'s committed
     prefix and fast-forward its execution cursor.
 
-    Returns the adopted ``applied_seq``.  Every order-process flavour
-    (SC/SCR/BFT/CT) executes through ``machine`` + ``_exec_next``, so
-    this is the whole protocol-side rejoin: subsequent committed slots
-    whose ``first_seq`` follows the prefix execute normally.
+    Returns the adopted ``applied_seq``.  ``machine``, ``_exec_next``
+    and ``_execute_ready()`` are :class:`~repro.core.process.
+    OrderProcessBase` members, so every order-process flavour executes
+    through them and this is the whole protocol-side rejoin: subsequent
+    committed slots whose ``first_seq`` follows the prefix execute
+    normally.
     """
     process.machine = machine
     process._exec_next = max(process._exec_next, machine.applied_seq + 1)
