@@ -20,7 +20,14 @@ from repro import ProtocolConfig, build_cluster, OpenLoopWorkload
 from repro.calibration import CalibrationProfile
 from repro.failures.faults import WrongDigestFault
 from repro.harness.experiments import run_order_experiment
-from repro.harness.metrics import collect_latencies, latency_stats
+from repro.harness.probes import ProbeContext, replay_records
+
+
+def _mean_latency(records) -> float:
+    """Mean order latency over ``records`` after a 3-batch warm-up."""
+    return replay_records(
+        records, ("order-latency",), ProbeContext(warmup_batches=3)
+    ).latency_mean
 
 
 def _post_failover_latency(dumb: bool) -> float:
@@ -32,11 +39,9 @@ def _post_failover_latency(dumb: bool) -> float:
     cluster.injector.inject(cluster.process("p1"), WrongDigestFault(active_from=1.0))
     cluster.start()
     cluster.run(until=7.0)
-    samples = [
-        s for s in collect_latencies(cluster.sim.trace) if s.rank == 2
-    ]
-    assert samples, "fail-over did not complete"
-    return latency_stats(samples, skip_first=3).mean
+    under_new = [r for r in cluster.sim.trace if r.fields.get("rank") == 2]
+    assert under_new, "fail-over did not complete"
+    return _mean_latency(under_new)
 
 
 def test_ablation_dumb_processes(benchmark):
@@ -63,13 +68,12 @@ def test_ablation_batch_size(benchmark):
             workload.install()
             cluster.start()
             cluster.run(until=6.0)
-            samples = collect_latencies(cluster.sim.trace)
             committed = sum(
                 r.fields["n_requests"]
                 for r in cluster.sim.trace.of_kind("order_committed")
                 if r.fields["actor"] == "p3"
             )
-            out.append((batch_bytes, latency_stats(samples, skip_first=3).mean,
+            out.append((batch_bytes, _mean_latency(cluster.sim.trace.records),
                         committed / 3.0))
         return out
 
@@ -105,8 +109,9 @@ def test_ablation_pair_link_speed(benchmark):
             workload.install()
             result_cluster.start()
             result_cluster.run(until=5.0)
-            samples = collect_latencies(result_cluster.sim.trace)
-            out.append((propagation, latency_stats(samples, skip_first=3).mean))
+            out.append(
+                (propagation, _mean_latency(result_cluster.sim.trace.records))
+            )
         return out
 
     results = run_once(benchmark, sweep)
@@ -135,9 +140,8 @@ def test_ablation_pair_forwarding(benchmark):
             workload.install()
             cluster.start()
             cluster.run(until=5.0)
-            samples = collect_latencies(cluster.sim.trace)
             out[forwarding] = (
-                latency_stats(samples, skip_first=3).mean,
+                _mean_latency(cluster.sim.trace.records),
                 cluster.network.pair_messages_sent,
             )
         return out

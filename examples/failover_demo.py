@@ -11,15 +11,34 @@ support tuples) moves coordination to the pair {p2, p2'}.  The deposed
 pair goes *dumb* (Section 4.3) and ordering resumes.
 
 ``build_scenario`` materialises the spec but leaves the simulation in
-our hands, so the demo can walk the trace; ``run_scenario(spec)``
-would instead return the aggregate :class:`ScenarioResult` directly.
+our hands, so the demo can subscribe a timeline printer to the tracer
+before starting it (a scenario's tracer retains only what its probes
+measure, so milestones are watched as they happen, not read back);
+``run_scenario(spec)`` would instead return the aggregate
+:class:`ScenarioResult` directly.
 
 Run:  python examples/failover_demo.py
 """
 
 from repro import ScenarioSpec
-from repro.harness.metrics import failover_latency
+from repro.harness.probes import ProbeContext, replay_records
 from repro.harness.scenario import FaultSpec, WorkloadSpec, build_scenario
+
+#: One line per fail-over milestone, keyed by trace kind.
+TIMELINE = {
+    "value_domain_failure": lambda f: f"detected: {f['reason']}",
+    "fail_signal_emitted": lambda f: "emitted the doubly-signed fail-signal "
+                                     f"({f['domain']} domain)",
+    "failover_complete": lambda f: "issued Start with f+1 signatures — new "
+                                   "coordinator installed",
+    "went_dumb": lambda f: "went dumb",
+}
+
+
+def print_milestone(record) -> None:
+    fields = record.fields
+    print(f"t={record.time:.3f}s  {fields['actor']} "
+          f"{TIMELINE[record.kind](fields)}")
 
 
 def main() -> None:
@@ -39,24 +58,16 @@ def main() -> None:
     print(f"injected: {cluster.coordinator_name} will sign corrupted digests "
           f"from t = 1.0 s\n")
 
+    trace = cluster.sim.trace
+    trace.subscribe(print_milestone, kinds=TIMELINE)
     cluster.start()
     cluster.run(until=spec.duration + spec.drain)
 
-    trace = cluster.sim.trace
-    for record in trace:
-        if record.kind == "value_domain_failure":
-            print(f"t={record.time:.3f}s  {record.fields['actor']} detected: "
-                  f"{record.fields['reason']}")
-        elif record.kind == "fail_signal_emitted":
-            print(f"t={record.time:.3f}s  {record.fields['actor']} emitted the "
-                  f"doubly-signed fail-signal ({record.fields['domain']} domain)")
-        elif record.kind == "failover_complete":
-            print(f"t={record.time:.3f}s  {record.fields['actor']} issued Start with "
-                  f"f+1 signatures — new coordinator installed")
-        elif record.kind == "went_dumb":
-            print(f"t={record.time:.3f}s  {record.fields['actor']} went dumb")
-
-    print(f"\nfail-over latency: {failover_latency(trace) * 1e3:.1f} ms "
+    # The fail-over probe's kinds are among those the scenario retains.
+    measured = replay_records(
+        trace.records, ("failover",), ProbeContext(min_samples=1)
+    )
+    print(f"\nfail-over latency: {measured.failover_latency * 1e3:.1f} ms "
           f"(fail-signal → Start with f+1 signatures)")
 
     ranks = {}

@@ -12,7 +12,7 @@ Run:  python examples/message_overhead.py
 """
 
 from repro import ProtocolConfig, build_cluster, OpenLoopWorkload
-from repro.harness.metrics import collect_latencies
+from repro.harness.probes import ProbeContext, replay_records
 from repro.harness.report import render_table
 
 
@@ -23,7 +23,9 @@ def measure(protocol: str) -> dict:
     workload.install()
     cluster.start()
     cluster.run(until=4.0)
-    batches = len(collect_latencies(cluster.sim.trace))
+    batches = int(replay_records(
+        cluster.sim.trace.records, ("order-latency",), ProbeContext()
+    ).batches_measured)
     shared = cluster.network.messages_sent - cluster.network.pair_messages_sent
     completed = sum(c.completed_count for c in cluster.clients)
     return {

@@ -1,19 +1,19 @@
 """Command-line entry point: ``python -m repro <command>``.
 
-A thin wrapper over :mod:`repro.harness.experiments`'s CLI so the
-package itself is runnable; also the ``repro`` console-script target.
+A thin wrapper over :mod:`repro.harness.cli` so the package itself is
+runnable; also the ``repro`` console-script target.
 
 The ``worker``, ``serve``, ``load`` and ``lint`` subcommands
-short-circuit before the experiments CLI is imported: sweep
+short-circuit before the harness CLI is imported: sweep
 coordinators (:mod:`repro.harness.exec.sockets`) spawn one ``python -m
 repro worker`` process per job, the live-cluster controller
 (:mod:`repro.live.cluster`) spawns one ``python -m repro serve
 --join`` process per replica, the static-analysis pass
 (:mod:`repro.analysis`) needs no simulator at all, and the fast paths
-defer the experiments CLI (its argparse tree, figure rendering and
+defer the harness CLI (its argparse tree, figure rendering and
 their import chain) until a command actually needs it.  The behaviour
 is identical either way — these paths and the matching subcommands in
-:mod:`repro.harness.experiments` delegate to the same mains.
+:mod:`repro.harness.cli` delegate to the same mains.
 """
 
 import sys
@@ -37,7 +37,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.analysis.cli import main as lint_main
 
         return lint_main(argv[1:])
-    from repro.harness.experiments import main as _main
+    from repro.harness.cli import main as _main
 
     return _main(argv)
 

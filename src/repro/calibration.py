@@ -32,8 +32,11 @@ Setting it to zero recovers the ideal queue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable
 
 from repro.crypto.costs import CryptoCostModel
+from repro.errors import ConfigError
 from repro.net.delay import LanDelay
 
 
@@ -108,3 +111,25 @@ def ideal_testbed() -> CalibrationProfile:
         pair_call_overhead=0.0,
         crypto=CryptoCostModel.free(),
     )
+
+
+#: Named profiles that sweep tasks and scenario specs reference, so
+#: those values stay small and picklable.
+CALIBRATION_PROFILES: dict[str, Callable[[], CalibrationProfile]] = {
+    "paper": paper_testbed,
+    "ideal": ideal_testbed,
+}
+
+
+@lru_cache(maxsize=None)
+def resolve_calibration(name: str) -> CalibrationProfile:
+    """Resolve a profile name, once per process (workers share the
+    cached instance across all their tasks)."""
+    try:
+        factory = CALIBRATION_PROFILES[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown calibration profile {name!r}; "
+            f"known: {tuple(CALIBRATION_PROFILES)}"
+        ) from None
+    return factory()

@@ -12,13 +12,16 @@ figures.
 * :mod:`~repro.harness.probes` — registry-backed measurement probes
   streaming over the trace (``order-latency``, ``throughput``,
   ``failover``, and anything registered);
-* :mod:`~repro.harness.metrics` — post-hoc latency / throughput /
-  fail-over extraction from retained traces (the probes' oracle);
-* :mod:`~repro.harness.experiments` — one runner per paper artefact
-  (Figure 4, Figure 5, Figure 6, the f = 3 discussion), with a CLI:
-  ``python -m repro fig4`` / ``python -m repro suite``;
+* :mod:`~repro.harness.metrics` — the latency statistics and the
+  linear fit the probes and figures share;
+* :mod:`~repro.harness.experiments` — the one measured-run wiring and
+  the paper's order and fail-over point experiments over it;
 * :mod:`~repro.harness.runner` — pure sweep tasks executed across a
   worker-process pool (``--jobs N``);
+* :mod:`~repro.harness.figures` — the figure table (grid, required
+  metrics and renderer per figure);
+* :mod:`~repro.harness.cli` — the command line:
+  ``python -m repro fig4`` / ``python -m repro suite``;
 * :mod:`~repro.harness.artifact` — machine-readable ``BENCH_*.json``
   benchmark artifacts;
 * :mod:`~repro.harness.baseline` — perf-regression comparator over
@@ -35,22 +38,15 @@ from repro.harness.scenario import (
     build_scenario,
     load_spec,
     run_scenario,
-    scenario_grid,
 )
-from repro.harness.metrics import (
-    LatencyStats,
-    collect_latencies,
-    failover_latency,
-    latency_stats,
-    linear_fit,
-    throughput_per_process,
-)
+from repro.harness.metrics import LatencyStats, linear_fit
 from repro.harness.probes import (
     MetricSeries,
     Probe,
     ProbeContext,
     ProbeReport,
 )
+from repro.harness.runner import scenario_grid
 from repro.harness.stats import Summary, repeat_order_experiment, summarize
 from repro.harness.workload import OpenLoopWorkload, saturating_rate
 
@@ -68,15 +64,11 @@ __all__ = [
     "Summary",
     "build_cluster",
     "build_scenario",
-    "collect_latencies",
     "load_spec",
     "run_scenario",
     "scenario_grid",
-    "failover_latency",
-    "latency_stats",
     "linear_fit",
     "repeat_order_experiment",
     "saturating_rate",
     "summarize",
-    "throughput_per_process",
 ]

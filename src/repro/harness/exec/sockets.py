@@ -177,6 +177,43 @@ def main(argv: list[str] | None = None) -> int:
 # ----------------------------------------------------------------------
 # Coordinator side
 # ----------------------------------------------------------------------
+def add_coordinator_arguments(parser: argparse.ArgumentParser) -> None:
+    """The coordinator's placement flags, for any sweep subcommand."""
+    parser.add_argument("--bind", default=None, metavar="HOST:PORT",
+                        help="sockets executor: listen on this interface "
+                             "so workers can join from other hosts")
+    parser.add_argument("--spawn", type=int, default=None, metavar="N",
+                        help="sockets executor: local workers to spawn "
+                             "(0 = wait for external workers only)")
+
+
+def coordinator_options(args: argparse.Namespace, executor: str) -> dict[str, object]:
+    """Constructor options from the parsed ``--bind``/``--spawn``/
+    ``--auth-key`` flags (an error for any other backend)."""
+    options: dict[str, object] = {}
+    bind = getattr(args, "bind", None)
+    if bind is not None:
+        host, _, port = bind.rpartition(":")
+        if not host or not port.isdigit():
+            raise ConfigError(f"--bind wants HOST:PORT, got {bind!r}")
+        options["bind"] = host
+        options["port"] = int(port)
+    spawn = getattr(args, "spawn", None)
+    if spawn is not None:
+        if spawn < 0:
+            raise ConfigError("--spawn must be >= 0")
+        options["spawn"] = spawn
+    auth_key = getattr(args, "auth_key", None)
+    if auth_key is not None:
+        options["auth_key"] = auth_key
+    if options and executor != "sockets":
+        raise ConfigError(
+            "--bind/--spawn/--auth-key configure the sockets coordinator; "
+            "pass --executor sockets"
+        )
+    return options
+
+
 @register
 class SocketExecutor(Executor):
     """Stream tasks to worker subprocesses over TCP; survive their

@@ -14,8 +14,9 @@ The paper's three measurements register on import:
 * ``throughput`` — committed requests/s per process (Figure 5);
 * ``failover`` — fail-over latency and BackLog bytes (Figure 6).
 
-Experiments derive their tracer keep-filter from the union of the
-selected probes' kinds, so a run retains nothing no probe wants.
+A measured run's tracer keeps the union of its attached probes' kinds
+(:func:`repro.harness.experiments.wire_run`), so it retains nothing no
+probe wants.
 Select probes per sweep point (``SweepTask(probes=...)``), per
 scenario (``probes = [...]`` in a spec file), or from the CLI
 (``--probes``); ``python -m repro probes`` lists what is registered.

@@ -8,11 +8,13 @@ as the simulator emits them (attached through
 it never asked for cost it nothing), and finalizes to a named map of
 scalar metrics plus optional :class:`MetricSeries`.
 
-Because probes stream, the tracer no longer has to retain the records
-a measurement reads: the experiment drivers derive the tracer's
-keep-filter from the union of the selected probes' declared kinds, so
-a long run's memory is bounded by probe *state* (a few dicts of
-floats), not by its trace.
+Every simulated point — order, fail-over, scenario — is wired by
+:func:`repro.harness.experiments.wire_run`, which applies one
+retention rule: the tracer keeps exactly the union of the attached
+probes' declared kinds.  Nothing reads those records back to measure
+(probes stream); they stay available to a caller holding the cluster,
+who can replay them through other probes
+(:func:`~repro.harness.probes.feed.replay_records`).
 
 Probes are classes registered by name (:mod:`~repro.harness.probes.
 registry`), mirroring the protocol and executor registries; instances
@@ -74,7 +76,7 @@ class Probe(ABC):
     """One streaming measurement over a simulation run.
 
     Subclasses set :attr:`name` (registry key), :attr:`kinds` (trace
-    kinds consumed — also what the driver's keep-filter retains),
+    kinds consumed — also what the wired run's tracer retains),
     :attr:`description`, and :attr:`directions` mapping each emitted
     metric to ``"lower"``/``"higher"`` when the baseline gate should
     regress it (metrics absent from the map are informational).
@@ -150,6 +152,23 @@ class ProbeReport:
     values: tuple[tuple[str, float], ...]
     series: tuple[MetricSeries, ...] = ()
     events_processed: int = 0
+
+    @classmethod
+    def of(
+        cls, probes: tuple[Probe, ...], context: ProbeContext,
+        scheme: str, events_processed: int,
+    ) -> "ProbeReport":
+        """Finalize ``probes`` (all built against ``context``) into one
+        merged report."""
+        return cls(
+            protocol=context.protocol,
+            scheme=scheme,
+            f=context.f,
+            probes=tuple(probe.name for probe in probes),
+            values=merged_values(probes),
+            series=tuple(s for probe in probes for s in probe.series()),
+            events_processed=events_processed,
+        )
 
     def metrics(self) -> dict[str, float]:
         """The measured quantities, flattened for artifacts."""

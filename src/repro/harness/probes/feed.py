@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.harness.probes.base import ProbeContext, ProbeReport, merged_values
+from repro.harness.probes.base import ProbeContext, ProbeReport
 from repro.harness.probes.registry import create_all, validate_names
 from repro.sim.trace import TraceRecord
 
@@ -61,8 +61,7 @@ def replay_records(
     Records whose kind no selected probe declared are skipped, matching
     the keep-filter discipline of a live tracer.
     """
-    selected = validate_names(probes)
-    instances = create_all(selected, context)
+    instances = create_all(validate_names(probes), context)
     consumers: dict[str, list] = {}
     for probe in instances:
         for kind in probe.kinds:
@@ -75,12 +74,4 @@ def replay_records(
         processed += 1
         for callback in callbacks:
             callback(record)
-    return ProbeReport(
-        protocol=context.protocol,
-        scheme=context.scheme,
-        f=context.f,
-        probes=selected,
-        values=merged_values(instances),
-        series=tuple(s for probe in instances for s in probe.series()),
-        events_processed=processed,
-    )
+    return ProbeReport.of(instances, context, context.scheme, processed)

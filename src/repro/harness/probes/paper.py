@@ -1,13 +1,15 @@
 """The paper's three measurements as streaming probes (Section 5).
 
-Each probe re-implements one post-hoc extractor from
-:mod:`repro.harness.metrics` over incremental state — a handful of
-dicts of floats instead of a retained trace — and is regression-tested
-byte-identical against it (``tests/harness/probes/test_equivalence``):
-iteration orders, aggregation order and the shared
-:class:`~repro.harness.metrics.LatencyStats` numerics are preserved
-exactly, so a sweep measured by probes reproduces the committed
-baselines bit for bit.
+Each probe implements one of the paper's definitions
+(:mod:`repro.harness.metrics` quotes them) over incremental state — a
+handful of dicts of floats instead of a retained trace — and is
+regression-tested byte-identical against the post-hoc reference kept
+with the tests (``tests/harness/oracle.py``, compared in
+``tests/harness/probes/test_equivalence``): iteration orders,
+aggregation order and the shared
+:class:`~repro.harness.metrics.LatencyStats` numerics match exactly,
+so a sweep measured by probes reproduces the committed baselines bit
+for bit.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ class OrderLatencyProbe(Probe):
                 self._first_commit[key] = record.time
 
     def samples(self) -> list[LatencySample]:
-        """Matched samples in formation order (collect_latencies's
-        shape, built from streamed state)."""
+        """Matched samples in formation order, built from streamed
+        state."""
         first_commit = self._first_commit
         samples = [
             LatencySample(rank=key[0], batch_id=key[1], formed_at=t0,

@@ -1,6 +1,6 @@
 """Sweep tasks, the ``execute()`` facade and series assembly.
 
-The figure sweeps of :mod:`repro.harness.experiments` are grids of
+The figure sweeps of :mod:`repro.harness.figures` are grids of
 independent simulation runs: each (protocol, scheme, interval) point
 builds a fresh cluster from an explicit seed and returns plain data.
 This module turns every such point into a :class:`SweepTask` value;
@@ -17,8 +17,8 @@ order.
 
 Calibration profiles are referenced *by name* so tasks stay small and
 picklable; each worker process resolves a name to a profile once and
-reuses it for every task it runs (:func:`resolve_calibration` is
-memoised per process).
+reuses it for every task it runs (:func:`~repro.calibration.
+resolve_calibration` is memoised per process).
 
 Typical use::
 
@@ -40,37 +40,20 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from repro.calibration import CalibrationProfile, ideal_testbed, paper_testbed
+import repro.harness.probes as probe_registry
+from repro.calibration import CALIBRATION_PROFILES, resolve_calibration
 from repro.errors import ConfigError
+from repro.harness import experiments
+from repro.harness.scenario import ScenarioSpec, run_scenario, spec_to_dict
 from repro.harness.telemetry import Stopwatch
 
 #: Task kinds understood by :func:`run_task`.
 ORDER = "order"
 FAILOVER = "failover"
 SCENARIO = "scenario"
-
-#: Named calibration profiles tasks may reference.
-CALIBRATION_PROFILES: dict[str, Callable[[], CalibrationProfile]] = {
-    "paper": paper_testbed,
-    "ideal": ideal_testbed,
-}
-
-
-@lru_cache(maxsize=None)
-def resolve_calibration(name: str) -> CalibrationProfile:
-    """Resolve a profile name, once per process (workers share the
-    cached instance across all their tasks)."""
-    try:
-        factory = CALIBRATION_PROFILES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown calibration profile {name!r}; "
-            f"known: {tuple(CALIBRATION_PROFILES)}"
-        ) from None
-    return factory()
 
 
 @dataclass(frozen=True)
@@ -127,8 +110,6 @@ class SweepTask:
                     "scenario tasks select probes on the ScenarioSpec "
                     "(spec field 'probes'), not on the task"
                 )
-            from repro.harness import probes as probe_registry
-
             object.__setattr__(
                 self, "probes", probe_registry.validate_names(self.probes)
             )
@@ -164,8 +145,6 @@ class SweepTask:
             # The spec digest covers every field (faults, workload,
             # duration, config overrides), so two different scenarios
             # sharing a name can never compare as the same point.
-            from repro.harness.scenario import spec_to_dict
-
             payload = json.dumps(
                 spec_to_dict(self.scenario), sort_keys=True, default=str
             )
@@ -240,16 +219,10 @@ class PointResult:
 
 def run_task(task: SweepTask) -> PointResult:
     """Execute one sweep point; pure in everything but wall time."""
-    from repro.harness import experiments
-
     watch = Stopwatch()
     if task.kind == SCENARIO:
-        from repro.harness.scenario import run_scenario
-
-        return PointResult(task=task, result=run_scenario(task.scenario),
-                           wall_time=watch.elapsed)
-    calibration = resolve_calibration(task.calibration)
-    if task.kind == ORDER:
+        result = run_scenario(task.scenario)
+    elif task.kind == ORDER:
         result = experiments.run_order_experiment(
             task.protocol,
             task.scheme,
@@ -258,7 +231,7 @@ def run_task(task: SweepTask) -> PointResult:
             seed=task.seed,
             n_batches=task.n_batches,
             warmup_batches=task.warmup_batches,
-            calibration=calibration,
+            calibration=resolve_calibration(task.calibration),
             probes=task.probes,
             fast_crypto=task.fast_crypto,
         )
@@ -272,12 +245,11 @@ def run_task(task: SweepTask) -> PointResult:
             batching_interval=(
                 0.250 if task.batching_interval is None else task.batching_interval
             ),
-            calibration=calibration,
+            calibration=resolve_calibration(task.calibration),
             probes=task.probes,
             fast_crypto=task.fast_crypto,
         )
-    return PointResult(task=task, result=result,
-                       wall_time=watch.elapsed)
+    return PointResult(task=task, result=result, wall_time=watch.elapsed)
 
 
 # ----------------------------------------------------------------------
@@ -469,6 +441,25 @@ def failover_grid(
     ]
 
 
+def scenario_task(spec: ScenarioSpec) -> SweepTask:
+    """The sweep point that runs ``spec`` (at the spec's own seed)."""
+    return SweepTask(
+        kind=SCENARIO,
+        protocol=spec.protocol,
+        scheme=spec.scheme,
+        f=spec.f,
+        seed=spec.seed,
+        calibration=spec.net.calibration,
+        scenario=spec,
+    )
+
+
+def scenario_grid(spec: ScenarioSpec, seeds=(1,)) -> list[SweepTask]:
+    """One scenario task per seed — the grid form of a declarative
+    :class:`~repro.harness.scenario.ScenarioSpec`."""
+    return [scenario_task(spec.with_(seed=seed)) for seed in seeds]
+
+
 # ----------------------------------------------------------------------
 # Series assembly
 # ----------------------------------------------------------------------
@@ -486,6 +477,19 @@ def group_series(
     return out
 
 
+def _by_scheme(
+    results: Iterable[PointResult],
+    point: Callable[[PointResult], tuple[float, float]],
+) -> dict[str, dict[str, list[tuple[float, float]]]]:
+    out: dict[str, dict[str, list[tuple[float, float]]]] = {}
+    grouped = group_series(
+        results, key=lambda p: (p.task.scheme, p.task.protocol), point=point
+    )
+    for (scheme, protocol), series in grouped.items():
+        out.setdefault(scheme, {})[protocol] = series
+    return out
+
+
 def order_series(
     results: Iterable[PointResult], value: str = "latency_mean"
 ) -> dict[str, dict[str, list[tuple[float, float]]]]:
@@ -498,30 +502,16 @@ def order_series(
     because it runs without crypto, but belongs to the panel it was
     swept for).
     """
-    out: dict[str, dict[str, list[tuple[float, float]]]] = {}
-    grouped = group_series(
-        results,
-        key=lambda p: (p.task.scheme, p.task.protocol),
-        point=lambda p: (p.task.batching_interval, getattr(p.result, value)),
+    return _by_scheme(
+        results, lambda p: (p.task.batching_interval, getattr(p.result, value))
     )
-    for (scheme, protocol), series in grouped.items():
-        out.setdefault(scheme, {})[protocol] = series
-    return out
 
 
 def failover_series(
     results: Iterable[PointResult],
 ) -> dict[str, dict[str, list[tuple[float, float]]]]:
     """``{scheme: {protocol: [(backlog_kb, latency_s), ...]}}``."""
-    out: dict[str, dict[str, list[tuple[float, float]]]] = {}
-    grouped = group_series(
+    return _by_scheme(
         results,
-        key=lambda p: (p.task.scheme, p.task.protocol),
-        point=lambda p: (
-            p.result.observed_backlog_bytes / 1024.0,
-            p.result.failover_latency,
-        ),
+        lambda p: (p.result.observed_backlog_bytes / 1024.0, p.result.failover_latency),
     )
-    for (scheme, protocol), series in grouped.items():
-        out.setdefault(scheme, {})[protocol] = series
-    return out

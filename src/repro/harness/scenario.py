@@ -5,8 +5,9 @@ protocol (any plugin registered in :mod:`repro.protocols`), config
 overrides, an open-loop workload with optional bursts, a fault
 schedule, network conditions and duration/seed — as a frozen,
 picklable value.  Specs run one-off (:func:`run_scenario`), as a
-seed grid over the multiprocessing runner (:func:`scenario_grid` +
-:func:`repro.harness.runner.execute`), or from the command line::
+seed grid over the multiprocessing runner
+(:func:`repro.harness.runner.scenario_grid` +
+:func:`~repro.harness.runner.execute`), or from the command line::
 
     python -m repro scenario --list
     python -m repro scenario bursty-load
@@ -42,20 +43,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import repro.harness.probes as probe_registry
 import repro.protocols as protocols
+from repro.calibration import resolve_calibration
 from repro.errors import ConfigError
-from repro.harness.cluster import Cluster, build_cluster
-from repro.harness.metrics import (
-    collect_latencies,
-    failover_latency,
-    latency_stats,
-    throughput_per_process,
-)
+from repro.harness.cluster import Cluster
+from repro.harness.experiments import WiredRun, wire_run
 from repro.harness.population import (
     ClassSpec,
     EnvelopeSpec,
@@ -63,14 +59,14 @@ from repro.harness.population import (
     population_from_dict,
     population_to_dict,
 )
-from repro.harness.probes import Probe, ProbeContext
-from repro.harness.runner import resolve_calibration
+from repro.harness.probes import ProbeContext
+from repro.harness.report import render_table
 from repro.harness.workload import (
     AggregatedWorkload,
     OpenLoopWorkload,
     saturating_rate,
 )
-from repro.sim.trace import Tracer
+from repro.sim.trace import TraceRecord
 
 # ----------------------------------------------------------------------
 # Spec dataclasses (frozen, picklable, hashable)
@@ -146,7 +142,7 @@ class FaultSpec:
 @dataclass(frozen=True)
 class NetSpec:
     """Network/testbed conditions: a named calibration profile (see
-    :data:`repro.harness.runner.CALIBRATION_PROFILES`)."""
+    :data:`repro.calibration.CALIBRATION_PROFILES`)."""
 
     calibration: str = "paper"
 
@@ -279,10 +275,10 @@ def spec_to_dict(spec: ScenarioSpec) -> dict:
     ]
     data["config"] = spec.config_overrides()
     data["probes"] = list(spec.probes)
+    # Drop defaults that only add noise to dumped specs.
     if spec.population is not None:
         data["population"] = population_to_dict(spec.population)
-    # Drop defaults that only add noise to dumped specs.
-    if spec.population is None:
+    else:
         del data["population"]
     if not spec.probes:
         del data["probes"]
@@ -302,11 +298,12 @@ def dump_spec(spec: ScenarioSpec) -> str:
     return json.dumps(spec_to_dict(spec), indent=2, sort_keys=False)
 
 
-def load_spec(path: str | Path) -> ScenarioSpec:
-    """Load a spec file; the suffix picks the format (.json/.toml)."""
+def read_spec_file(path: str | Path, what: str = "scenario") -> dict:
+    """The plain data of a ``what`` spec file; the suffix picks the
+    format (.json/.toml)."""
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"scenario file not found: {path}")
+        raise ConfigError(f"{what} file not found: {path}")
     if path.suffix == ".toml":
         import tomllib
 
@@ -321,32 +318,23 @@ def load_spec(path: str | Path) -> ScenarioSpec:
             raise ConfigError(f"bad JSON in {path}: {exc}") from None
     else:
         raise ConfigError(
-            f"unknown scenario file type {path.suffix!r} (use .json or .toml)"
+            f"unknown {what} file type {path.suffix!r} (use .json or .toml)"
         )
-    return spec_from_dict(data)
+    return data
+
+
+def load_spec(path: str | Path) -> ScenarioSpec:
+    """Load a scenario spec file (.json/.toml)."""
+    return spec_from_dict(read_spec_file(path))
 
 
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
 
-#: Trace kinds scenario metrics read (keeps long runs memory-bounded).
-_WANTED_KINDS = frozenset({
-    "batch_formed",
-    "order_committed",
-    "fail_signal_emitted",
-    "failover_complete",
-    "backlog_sent",
-    "view_change_sent",
-    "install_committed",
-    "coordinator_installed",
-    "view_installed",
-    "pair_recovered",
-    "went_dumb",
-    "value_domain_failure",
-    "fault_injected",
-    "surge_injected",
-})
+#: The probes behind a scenario's built-in metrics: the paper's three
+#: measurements, run leniently (no warm-up discard, no sample floor).
+BUILTIN_PROBES = ("order-latency", "throughput", "failover")
 
 
 @dataclass(frozen=True)
@@ -406,36 +394,40 @@ class ScenarioResult:
         return out
 
 
-def build_scenario(spec: ScenarioSpec) -> tuple[Cluster, list]:
-    """Materialise a spec: cluster built, workloads installed, faults
-    armed — ready for ``cluster.start()``.
-
-    With a ``population`` block the workload list holds a single
-    :class:`~repro.harness.workload.AggregatedWorkload` (no per-client
-    actors are built beyond the spec's ``n_clients``, which population
-    runs keep at the 2-client floor purely for cluster wiring)."""
-    plugin = protocols.get(spec.protocol)
-    config = plugin.configure(
+def _wire_scenario(spec: ScenarioSpec) -> tuple[WiredRun, list]:
+    """The scenario as a describer of the one measured run: a lenient
+    context (a scenario without, say, a fail-over episode reports zeros
+    rather than failing the run), the built-in probes plus the spec's
+    own, then the spec's workloads installed and its faults armed."""
+    config = protocols.get(spec.protocol).configure(
         scheme=spec.scheme,
         f=spec.f,
         batching_interval=spec.batching_interval,
         **spec.config_overrides(),
     )
-    cluster = build_cluster(
-        spec.protocol,
-        config=config,
-        calibration=resolve_calibration(spec.net.calibration),
+    context = ProbeContext(
+        protocol=spec.protocol,
+        scheme=spec.scheme,
+        f=spec.f,
         seed=spec.seed,
+        batching_interval=spec.batching_interval,
+        window_start=0.0,
+        window_end=spec.duration,
+        label=f"scenario {spec.name!r}",
+    )
+    wired = wire_run(
+        config,
+        context,
+        # One instance per name: a spec that re-selects a built-in
+        # probe reads the same measurement under its namespaced keys.
+        tuple(dict.fromkeys(BUILTIN_PROBES + spec.probes)),
+        calibration=resolve_calibration(spec.net.calibration),
         n_clients=spec.n_clients,
     )
-    # Replace the tracer before start() so the keep-filter covers
-    # everything the run emits; any kinds the spec's probes declare
-    # are retained on top of the scenario-measurement set.
-    cluster.sim.trace = Tracer(
-        keep_kinds=_WANTED_KINDS | probe_registry.kinds_union(spec.probes)
-    )
+    cluster = wired.cluster
 
     w = spec.workload
+    duration = w.duration if w.duration is not None else spec.duration
     rate = (
         w.rate
         if w.rate is not None
@@ -448,21 +440,11 @@ def build_scenario(spec: ScenarioSpec) -> tuple[Cluster, list]:
     )
     if spec.population is not None:
         workloads: list = [
-            AggregatedWorkload(
-                cluster,
-                spec.population,
-                rate=rate,
-                duration=w.duration if w.duration is not None else spec.duration,
-            )
+            AggregatedWorkload(cluster, spec.population, rate=rate, duration=duration)
         ]
     else:
         workloads = [
-            OpenLoopWorkload(
-                cluster,
-                rate=rate,
-                duration=w.duration if w.duration is not None else spec.duration,
-                spacing=w.spacing,
-            )
+            OpenLoopWorkload(cluster, rate=rate, duration=duration, spacing=w.spacing)
         ]
         workloads.extend(
             OpenLoopWorkload(
@@ -482,70 +464,44 @@ def build_scenario(spec: ScenarioSpec) -> tuple[Cluster, list]:
         cluster.injector.inject_named(
             cluster, fault.kind, fault.target, at=fault.at, **fault.params()
         )
-    return cluster, workloads
+    return wired, workloads
 
 
-def _attach_probes(spec: ScenarioSpec, cluster: Cluster) -> tuple[Probe, ...]:
-    """Instantiate the spec's probes against a lenient scenario context
-    (no warm-up discard, no sample floor: a scenario without, say, a
-    fail-over episode reports zeros rather than failing the run)."""
-    context = ProbeContext(
-        protocol=spec.protocol,
-        scheme=spec.scheme,
-        f=spec.f,
-        seed=spec.seed,
-        batching_interval=spec.batching_interval,
-        window_start=0.0,
-        window_end=spec.duration,
-        label=f"scenario {spec.name!r}",
-    )
-    probes = probe_registry.create_all(spec.probes, context)
-    for probe in probes:
-        probe.attach(cluster.sim.trace)
-    return probes
+def build_scenario(spec: ScenarioSpec) -> tuple[Cluster, list]:
+    """Materialise a spec: cluster built, probes attached, workloads
+    installed, faults armed — ready for ``cluster.start()``.
+
+    With a ``population`` block the workload list holds a single
+    :class:`~repro.harness.workload.AggregatedWorkload` (no per-client
+    actors are built beyond the spec's ``n_clients``, which population
+    runs keep at the 2-client floor purely for cluster wiring)."""
+    wired, workloads = _wire_scenario(spec)
+    return wired.cluster, workloads
+
+
+#: Milestones a scenario counts (no probe provides them).
+_COUNTED_KINDS = ("order_committed", "failover_complete", "view_installed",
+                  "pair_recovered")
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Run a spec end-to-end and extract its metrics."""
-    cluster, workloads = build_scenario(spec)
-    probes = _attach_probes(spec, cluster)
-    cluster.start()
-    cluster.run(until=spec.duration + spec.drain)
-    digest = next(
-        (w.stream_digest() for w in workloads if isinstance(w, AggregatedWorkload)),
-        "",
-    )
-    return _measure(spec, cluster, issued=sum(w.issued for w in workloads),
-                    probes=probes, stream_digest=digest)
+    wired, workloads = _wire_scenario(spec)
+    seen = dict.fromkeys(_COUNTED_KINDS, 0)
+    committed: dict[str, int] = {}  # requests, per committing process
 
+    def count(record: TraceRecord) -> None:
+        seen[record.kind] += 1
+        if record.kind == "order_committed":
+            actor = record.fields.get("actor", "?")
+            committed[actor] = committed.get(actor, 0) + record.fields["n_requests"]
 
-def _measure(
-    spec: ScenarioSpec, cluster: Cluster, issued: int,
-    probes: tuple[Probe, ...] = (),
-    stream_digest: str = "",
-) -> ScenarioResult:
-    trace = cluster.sim.trace
-    samples = collect_latencies(trace)
-    if samples:
-        stats = latency_stats(samples)
-        latency_mean, latency_p50, latency_p95 = stats.mean, stats.p50, stats.p95
-        batches = stats.count
-    else:
-        latency_mean = latency_p50 = latency_p95 = 0.0
-        batches = 0
+    cluster = wired.cluster
+    cluster.sim.trace.subscribe(count, kinds=_COUNTED_KINDS)
+    wired.run(until=spec.duration + spec.drain)
 
-    committed_per_actor: dict[str, int] = {}
-    for record in trace.of_kind("order_committed"):
-        actor = record.fields.get("actor", "?")
-        committed_per_actor[actor] = (
-            committed_per_actor.get(actor, 0) + record.fields["n_requests"]
-        )
-    committed = max(committed_per_actor.values(), default=0)
-
-    signals = trace.of_kind("fail_signal_emitted")
-    completes = trace.of_kind("failover_complete")
-    fail_latency = failover_latency(trace) if signals and completes else 0.0
-
+    measured = {probe.name: probe.finalize() for probe in wired.probes}
+    latency = measured["order-latency"]
     return ScenarioResult(
         name=spec.name,
         protocol=spec.protocol,
@@ -553,26 +509,30 @@ def _measure(
         f=spec.f,
         seed=spec.seed,
         duration=spec.duration,
-        requests_issued=issued,
-        requests_committed=committed,
-        batches_measured=batches,
-        latency_mean=latency_mean,
-        latency_p50=latency_p50,
-        latency_p95=latency_p95,
-        throughput=throughput_per_process(trace, 0.0, spec.duration),
-        failovers=len(completes),
-        failover_latency=fail_latency,
-        view_changes=len(trace.of_kind("view_installed")),
-        recoveries=len(trace.of_kind("pair_recovered")),
+        requests_issued=sum(w.issued for w in workloads),
+        requests_committed=max(committed.values(), default=0),
+        batches_measured=int(latency["batches_measured"]),
+        latency_mean=latency["latency_mean"],
+        latency_p50=latency["latency_p50"],
+        latency_p95=latency["latency_p95"],
+        throughput=measured["throughput"]["throughput"],
+        failovers=seen["failover_complete"],
+        failover_latency=measured["failover"]["failover_latency"],
+        view_changes=seen["view_installed"],
+        recoveries=seen["pair_recovered"],
         safety_ok=_prefixes_agree(cluster),
         events_processed=cluster.sim.events_processed,
-        probes=tuple(probe.name for probe in probes),
+        probes=spec.probes,
         probe_metrics=tuple(
-            (f"{probe.name}.{metric}", float(value))
-            for probe in probes
-            for metric, value in probe.finalize().items()
+            (f"{name}.{metric}", float(value))
+            for name in spec.probes
+            for metric, value in measured[name].items()
         ),
-        stream_digest=stream_digest,
+        stream_digest=next(
+            (w.stream_digest() for w in workloads
+             if isinstance(w, AggregatedWorkload)),
+            "",
+        ),
     )
 
 
@@ -584,30 +544,6 @@ def _prefixes_agree(cluster: Cluster) -> bool:
     shortest = min(len(h) for h in histories)
     reference = histories[0][:shortest]
     return all(history[:shortest] == reference for history in histories)
-
-
-# ----------------------------------------------------------------------
-# Runner integration
-# ----------------------------------------------------------------------
-
-
-def scenario_grid(spec: ScenarioSpec, seeds=(1,)) -> list:
-    """One :class:`~repro.harness.runner.SweepTask` per seed — the
-    grid form the multiprocessing runner executes."""
-    from repro.harness.runner import SCENARIO, SweepTask
-
-    return [
-        SweepTask(
-            kind=SCENARIO,
-            protocol=spec.protocol,
-            scheme=spec.scheme,
-            f=spec.f,
-            seed=seed,
-            calibration=spec.net.calibration,
-            scenario=spec.with_(seed=seed),
-        )
-        for seed in seeds
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -730,106 +666,24 @@ def resolve_spec(target: str) -> ScenarioSpec:
 
 
 # ----------------------------------------------------------------------
-# CLI (`python -m repro scenario ...`)
+# Rendering (`python -m repro scenario ...`)
 # ----------------------------------------------------------------------
 
 
-def add_scenario_arguments(parser) -> None:
-    """Attach the scenario subcommand's arguments."""
-    parser.add_argument(
-        "target", nargs="?", default=None,
-        help="builtin scenario name or a .json/.toml spec file",
-    )
-    parser.add_argument(
-        "--list", action="store_true", help="list built-in scenarios"
-    )
-    parser.add_argument(
-        "--dump", action="store_true",
-        help="print the resolved spec as JSON and exit (spec-file template)",
-    )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the spec's seed")
-    parser.add_argument("--probes", default=None, metavar="P1,P2",
-                        help="attach these measurement probes (overrides "
-                             "the spec's own selection; see `repro probes`)")
-    parser.add_argument("--seeds", default=None,
-                        help="comma-separated seeds: run a grid via the runner")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for --seeds grids")
-    from repro.harness import exec as exec_backends
-
-    parser.add_argument("--executor", default=None,
-                        choices=exec_backends.names(),
-                        help="execution backend for --seeds grids "
-                             "(default: serial for --jobs 1, pool otherwise)")
-    parser.add_argument("--resume", default=None, metavar="JOURNAL",
-                        help="checkpoint journal for --seeds grids: "
-                             "completed seeds are skipped on re-run")
-    parser.add_argument("--bind", default=None, metavar="HOST:PORT",
-                        help="sockets executor: listen on this interface "
-                             "so workers can join from other hosts")
-    parser.add_argument("--spawn", type=int, default=None, metavar="N",
-                        help="sockets executor: local workers to spawn "
-                             "(0 = wait for external workers only)")
-
-
-def cmd_scenario(args) -> int:
-    """Entry point for ``python -m repro scenario``."""
-    from repro.harness.report import render_table
-
-    if args.list or args.target is None:
-        rows = [
+def render_builtins() -> str:
+    """The built-in scenarios as a table."""
+    return render_table(
+        "Built-in scenarios (python -m repro scenario <name>)",
+        ("name", "protocol", "duration (s)", "description"),
+        [
             (spec.name, spec.protocol, f"{spec.duration:g}", spec.description)
             for spec in BUILTIN_SCENARIOS.values()
-        ]
-        print(render_table(
-            "Built-in scenarios (python -m repro scenario <name>)",
-            ("name", "protocol", "duration (s)", "description"),
-            rows,
-        ))
-        return 0
+        ],
+    )
 
-    spec = resolve_spec(args.target)
-    if args.seed is not None:
-        spec = spec.with_(seed=args.seed)
-    if args.probes is not None:
-        from repro.harness.experiments import _parse_probes
 
-        spec = spec.with_(probes=_parse_probes(args.probes) or ())
-    if args.dump:
-        print(dump_spec(spec))
-        return 0
-
-    if args.seeds:
-        from repro.harness.experiments import _executor_options
-        from repro.harness.runner import (
-            default_executor,
-            execute,
-            print_progress,
-        )
-
-        try:
-            seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-        except ValueError:
-            raise ConfigError(
-                f"--seeds wants comma-separated integers, got {args.seeds!r}"
-            ) from None
-        if not seeds:
-            raise ConfigError("--seeds names no seeds")
-        tasks = scenario_grid(spec, seeds=seeds)
-        executor = args.executor or default_executor(args.jobs, len(tasks))
-        results = [p.result for p in execute(
-            tasks, jobs=args.jobs,
-            progress=print_progress,
-            executor=executor,
-            checkpoint=args.resume,
-            executor_options=_executor_options(args, executor),
-        )]
-    else:
-        results = [run_scenario(spec)]
-
-    print(f"scenario {spec.name!r}: protocol={spec.protocol} f={spec.f} "
-          f"scheme={spec.scheme} duration={spec.duration:g}s", file=sys.stderr)
+def render_results(spec: ScenarioSpec, results: list[ScenarioResult]) -> str:
+    """One row per executed seed of ``spec``."""
     rows = [
         (
             str(r.seed),
@@ -843,10 +697,9 @@ def cmd_scenario(args) -> int:
         )
         for r in results
     ]
-    print(render_table(
+    return render_table(
         f"Scenario {spec.name!r}",
         ("seed", "issued", "committed", "latency (ms)", "req/s/proc",
          "failovers", "recoveries", "safety"),
         rows,
-    ))
-    return 0 if all(r.safety_ok for r in results) else 1
+    )

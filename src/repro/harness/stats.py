@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
+from repro.harness.experiments import run_order_experiment
 
 # Two-sided 95% Student-t critical values for df = 1..30.
 _T95 = (
@@ -82,8 +83,6 @@ def repeat_order_experiment(
 
     Returns ``(latency_summary, throughput_summary)`` across seeds.
     """
-    from repro.harness.experiments import run_order_experiment
-
     if not seeds:
         raise ConfigError("need at least one seed")
     latencies: list[float] = []

@@ -40,12 +40,13 @@ from pathlib import Path
 
 from repro.core.replies import Reply, ReplyTracker
 from repro.core.requests import ClientRequest
-from repro.errors import ConfigError, ReproError
+from repro.errors import ReproError
 from repro.harness.population import (
     StreamDigest,
     population_from_dict,
     population_stream,
 )
+from repro.harness.scenario import read_spec_file
 from repro.harness.workload import arrival_times
 from repro.live.transport import LiveTransport
 from repro.net import framing
@@ -56,7 +57,12 @@ DRAIN_GRACE = 2.0
 
 
 class LoadClient:
-    """The actor a :class:`LiveTransport` dispatches replies into."""
+    """The actor a :class:`LiveTransport` dispatches replies into.
+
+    One connection may carry many client ids (a population run samples
+    one per request), so pending requests are keyed by ``req_id`` —
+    drawn from one pool-wide counter — and complete by the f+1
+    matching-reply rule; a matched request's issue time is dropped."""
 
     def __init__(self, name: str, f: int) -> None:
         self.name = name
@@ -67,39 +73,11 @@ class LoadClient:
         self.commit_times: list[float] = []
 
     def on_message(self, sender: str, payload) -> None:
-        if isinstance(payload, Reply) and payload.client == self.name:
+        if isinstance(payload, Reply) and payload.req_id in self.issue_times:
             now = time.monotonic()
             if self.replies.note_reply(payload, now):
-                issued_at = self.issue_times.get(payload.req_id)
-                if issued_at is not None:
-                    self.latencies.append(now - issued_at)
-                    self.commit_times.append(now)
-
-
-class PopulationLoadClient:
-    """Reply sink for a population run: many virtual client ids, one
-    connection.  Installed as the transport's ``catch_all`` so replies
-    addressed to any sampled id land here; completion is tracked per
-    ``(client, req_id)`` by the same f+1 matching-reply rule."""
-
-    def __init__(self, name: str, f: int) -> None:
-        self.name = name
-        self.f = f
-        self.replies = ReplyTracker(f)
-        self.issue_times: dict[tuple[str, int], float] = {}
-        self.latencies: list[float] = []
-        self.commit_times: list[float] = []
-
-    def on_message(self, sender: str, payload) -> None:
-        if isinstance(payload, Reply):
-            now = time.monotonic()
-            if self.replies.note_reply(payload, now):
-                issued_at = self.issue_times.pop(
-                    (payload.client, payload.req_id), None
-                )
-                if issued_at is not None:
-                    self.latencies.append(now - issued_at)
-                    self.commit_times.append(now)
+                self.latencies.append(now - self.issue_times.pop(payload.req_id))
+                self.commit_times.append(now)
 
 
 async def fetch_spec(control: str, auth_key: bytes | None) -> dict:
@@ -148,39 +126,29 @@ def load_population(path: str | Path):
     """A :class:`~repro.harness.population.PopulationSpec` from a JSON
     or TOML file — either a bare population block or a document with a
     ``population`` key (a scenario spec file works verbatim)."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"population file not found: {path}")
-    if path.suffix == ".toml":
-        import tomllib
-
-        try:
-            data = tomllib.loads(path.read_text())
-        except tomllib.TOMLDecodeError as exc:
-            raise ConfigError(f"bad TOML in {path}: {exc}") from None
-    elif path.suffix == ".json":
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad JSON in {path}: {exc}") from None
-    else:
-        raise ConfigError(
-            f"unknown population file type {path.suffix!r} (use .json or .toml)"
-        )
+    data = read_spec_file(path, "population")
     if isinstance(data.get("population"), dict):
         data = data["population"]
     return population_from_dict(data)
 
 
-async def run_load(args) -> int:
-    auth_key = framing.resolve_auth_key(args.auth_key)
-    spec = await fetch_spec(args.control, auth_key)
+def _population_arrivals(population, args, digest: StreamDigest):
+    """``(at, client_name)`` per event of the seeded stream the
+    simulator's ``AggregatedWorkload`` schedules from, each folded into
+    ``digest`` as it is drawn."""
+    for at, class_name, client_id in population_stream(
+        population, args.rate, args.duration, RngRegistry(args.seed)
+    ):
+        digest.update(at, class_name, client_id)
+        yield at, f"c{client_id}"
+
+
+async def _offer(args, spec: dict, auth_key: bytes | None, arrivals):
+    """Send one request per ``(at, client_name)`` arrival on schedule
+    from one wire sender (``--client-id``), then collect replies for
+    :data:`DRAIN_GRACE`.  Returns ``(client, issued, start)``."""
     replicas = sorted(spec["addresses"])
     request_bytes = int(spec.get("request_bytes", 64))
-
-    if args.population is not None:
-        return await run_population_load(args, spec, auth_key, request_bytes)
-
     client = LoadClient(args.client_id, spec["f"])
     transport = LiveTransport(
         args.client_id,
@@ -189,32 +157,51 @@ async def run_load(args) -> int:
     )
     transport.attach(client)
     transport.host(args.client_id)
+    # Replies address the id their request carried; a population's
+    # virtual ids ("c42") are not hosted here, so the catch-all hands
+    # every one of them to the tracker.
+    transport.catch_all = client
 
-    rng = random.Random(args.seed) if args.spacing == "poisson" else None
-    schedule = list(arrival_times(args.rate, args.duration, args.spacing, rng))
     start = time.monotonic()
-    next_id = 1
-    for at in schedule:
+    issued = 0
+    for at, name in arrivals:
         delay = (start + at) - time.monotonic()
         if delay > 0:
             await asyncio.sleep(delay)
-        request = ClientRequest(
-            client=args.client_id, req_id=next_id, size_bytes=request_bytes
-        )
-        client.issue_times[next_id] = time.monotonic()
-        next_id += 1
+        issued += 1
+        request = ClientRequest(client=name, req_id=issued, size_bytes=request_bytes)
+        client.issue_times[issued] = time.monotonic()
         transport.multicast(
             args.client_id, replicas, request, request.size_bytes
         )
     await asyncio.sleep(DRAIN_GRACE)
     await transport.close()
+    return client, issued, start
 
-    issued = len(schedule)
-    committed = len(client.latencies)
+
+async def run_load(args) -> int:
+    """Drive the cluster; the single-client stream and the
+    ``--population`` replay differ only in how arrivals are drawn."""
+    auth_key = framing.resolve_auth_key(args.auth_key)
+    spec = await fetch_spec(args.control, auth_key)
+    if args.population is None:
+        population = digest = None
+        rng = random.Random(args.seed) if args.spacing == "poisson" else None
+        arrivals = (
+            (at, args.client_id)
+            for at in arrival_times(args.rate, args.duration, args.spacing, rng)
+        )
+    else:
+        population = load_population(args.population)
+        digest = StreamDigest()
+        arrivals = _population_arrivals(population, args, digest)
+    client, issued, start = await _offer(args, spec, auth_key, arrivals)
+
+    latencies = client.latencies
+    committed = len(latencies)
     elapsed = (
         (client.commit_times[-1] - start) if client.commit_times else args.duration
     )
-    latencies = client.latencies
     summary = {
         "protocol": spec["protocol"],
         "f": spec["f"],
@@ -227,94 +214,21 @@ async def run_load(args) -> int:
         "latency_p95_s": percentile(latencies, 0.95) if committed else None,
         "throughput_rps": committed / elapsed if elapsed > 0 else 0.0,
     }
-    if args.json:
+    if population is not None:
+        summary["clients"] = population.clients
+        summary["stream_digest"] = digest.hexdigest()
+        if args.bench_dir:
+            path = write_population_artifact(
+                summary, spec, args, population, digest, elapsed
+            )
+            summary["artifact"] = str(path)
+    elif args.json:
         summary["samples"] = [round(v, 6) for v in latencies]
         # The measurement window is over (transport closed), but other
         # tasks may still be draining on this loop — keep the disk
         # write off it.
         await asyncio.to_thread(_write_summary_file, args.json, summary)
         summary.pop("samples")
-    print(json.dumps(summary, sort_keys=True), flush=True)
-    if committed == 0 and issued > 0:
-        print("load: no request ever committed", file=sys.stderr)
-        return 1
-    return 0
-
-
-async def run_population_load(
-    args, spec: dict, auth_key: bytes | None, request_bytes: int
-) -> int:
-    """Replay a seeded population stream over the live cluster.
-
-    Mirrors the simulator's ``AggregatedWorkload`` exactly: one merged
-    arrival stream built from ``RngRegistry(seed)``, one wire sender
-    (``--client-id``) multiplexing every sampled virtual client id, a
-    single pool-wide ``req_id`` counter, and an incremental digest of
-    the ``(t, class, client)`` events for sim/live cross-validation.
-    """
-    population = load_population(args.population)
-    replicas = sorted(spec["addresses"])
-
-    client = PopulationLoadClient(args.client_id, spec["f"])
-    transport = LiveTransport(
-        args.client_id,
-        addresses={name: tuple(addr) for name, addr in spec["addresses"].items()},
-        auth_key=auth_key,
-    )
-    transport.attach(client)
-    transport.host(args.client_id)
-    # Replies address virtual ids ("c42"), none of which is hosted
-    # here — the catch-all hands every one of them to the tracker.
-    transport.catch_all = client
-
-    registry = RngRegistry(args.seed)
-    digest = StreamDigest()
-    start = time.monotonic()
-    next_id = 1
-    for at, class_name, client_id in population_stream(
-        population, args.rate, args.duration, registry
-    ):
-        digest.update(at, class_name, client_id)
-        delay = (start + at) - time.monotonic()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        name = f"c{client_id}"
-        request = ClientRequest(
-            client=name, req_id=next_id, size_bytes=request_bytes
-        )
-        client.issue_times[(name, next_id)] = time.monotonic()
-        next_id += 1
-        transport.multicast(
-            args.client_id, replicas, request, request.size_bytes
-        )
-    await asyncio.sleep(DRAIN_GRACE)
-    await transport.close()
-
-    issued = digest.events
-    committed = len(client.latencies)
-    elapsed = (
-        (client.commit_times[-1] - start) if client.commit_times else args.duration
-    )
-    latencies = client.latencies
-    summary = {
-        "protocol": spec["protocol"],
-        "f": spec["f"],
-        "rate": args.rate,
-        "duration": args.duration,
-        "clients": population.clients,
-        "issued": issued,
-        "committed": committed,
-        "stream_digest": digest.hexdigest(),
-        "latency_mean_s": sum(latencies) / committed if committed else None,
-        "latency_p50_s": percentile(latencies, 0.50) if committed else None,
-        "latency_p95_s": percentile(latencies, 0.95) if committed else None,
-        "throughput_rps": committed / elapsed if elapsed > 0 else 0.0,
-    }
-    if args.bench_dir:
-        path = write_population_artifact(
-            summary, spec, args, population, digest, elapsed
-        )
-        summary["artifact"] = str(path)
     print(json.dumps(summary, sort_keys=True), flush=True)
     if committed == 0 and issued > 0:
         print("load: no request ever committed", file=sys.stderr)

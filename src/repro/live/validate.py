@@ -30,6 +30,7 @@ from pathlib import Path
 
 from repro.errors import ConfigError
 from repro.harness import artifact as artifact_mod
+from repro.harness.experiments import run_order_experiment
 from repro.harness.probes import ProbeContext, merge_node_records, replay_records
 
 #: Probes every live artifact point is measured by.  The recovery
@@ -161,8 +162,6 @@ def _sim_counterpart(point: dict, baseline) -> dict | None:
 
 def _simulate_counterpart(point: dict) -> dict:
     """No baseline given: run the simulated point on the fly."""
-    from repro.harness.experiments import run_order_experiment
-
     report = run_order_experiment(
         point["protocol"],
         point["scheme"],

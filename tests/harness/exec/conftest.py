@@ -8,8 +8,8 @@ then judged against those reference results.
 import pytest
 
 from repro.harness.exec.serial import SerialExecutor
-from repro.harness.runner import SweepTask, order_grid
-from repro.harness.scenario import BUILTIN_SCENARIOS, scenario_grid
+from repro.harness.runner import SweepTask, order_grid, scenario_grid
+from repro.harness.scenario import BUILTIN_SCENARIOS
 
 
 def _small_grid() -> list[SweepTask]:

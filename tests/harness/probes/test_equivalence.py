@@ -1,13 +1,13 @@
-"""Probes vs the retained post-hoc path: exact equivalence.
+"""Probes vs the post-hoc oracle: exact equivalence.
 
-The regression contract of the measurement redesign: for the same run,
-the streaming probes must produce **exactly** the numbers the
-:mod:`repro.harness.metrics` extractors compute from a keep-everything
-trace — not approximately, bit for bit, because the committed BENCH
-baselines are gated on byte-identical metrics.  The tests swap the
-experiment drivers' derived keep-filter for a full tracer (so the
-post-hoc oracle has every record) and compare both extractions of the
-*same* simulation.
+The regression contract of the one-extractor design: for the same run,
+the streaming probes must produce **exactly** the numbers the post-hoc
+reference extractors (``tests/harness/oracle.py``) compute from a
+keep-everything trace — not approximately, bit for bit, because the
+committed BENCH baselines are gated on byte-identical metrics.  The
+tests swap the tracer the measured-run wiring installs for a full one
+(so the oracle has every record) and compare both extractions of the
+*same* simulation — order points, fail-over points and scenarios.
 """
 
 import pytest
@@ -17,15 +17,15 @@ from repro.harness.experiments import (
     run_failover_experiment,
     run_order_experiment,
 )
-from repro.harness.metrics import (
+from repro.harness.scenario import BUILTIN_SCENARIOS, run_scenario
+from repro.sim.trace import Tracer
+from tests.harness.oracle import (
     backlog_bytes_observed,
     collect_latencies,
     failover_latency,
     latency_stats,
     throughput_per_process,
 )
-from repro.harness.probes import kinds_union
-from repro.sim.trace import Tracer
 
 #: Small but real order point (sub-second): enough batches for the
 #: warm-up/cap discipline to engage.
@@ -38,12 +38,12 @@ def full_trace(monkeypatch):
     test a reference to it (the post-hoc oracle's input)."""
     captured = {}
 
-    def keep_everything(selected):
+    def keep_everything(keep_kinds):
         captured["trace"] = Tracer()
-        captured["selected"] = selected
+        captured["kinds"] = keep_kinds
         return captured["trace"]
 
-    monkeypatch.setattr(experiments, "_probe_tracer", keep_everything)
+    monkeypatch.setattr(experiments, "Tracer", keep_everything)
     return captured
 
 
@@ -100,12 +100,9 @@ def test_slim_and_full_runs_report_identical_metrics(full_trace):
     tracer and against the derived keep-filter reports equal values,
     and the full trace really carries kinds the filter would drop."""
     full_report = run_order_experiment("sc", "md5-rsa1024", 0.1, **ORDER_ARGS)
-    assert not (
-        full_trace["trace"].kinds() <= kinds_union(full_trace["selected"])
-    )
+    assert not full_trace["trace"].kinds() <= full_trace["kinds"]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "_probe_tracer",
-                   lambda selected: Tracer(keep_kinds=kinds_union(selected)))
+        mp.setattr(experiments, "Tracer", Tracer)
         slim_report = run_order_experiment(
             "sc", "md5-rsa1024", 0.1, **ORDER_ARGS
         )
@@ -116,22 +113,60 @@ def test_derived_keep_filter_bounds_retention(monkeypatch):
     """A probed run retains only the union of the probes' kinds, and
     strictly less than a keep-everything run of the same point."""
     captured = {}
-    original = experiments._probe_tracer
 
-    def spy(selected):
-        captured["trace"] = original(selected)
-        captured["selected"] = selected
+    def spy(keep_kinds):
+        captured["trace"] = Tracer(keep_kinds=keep_kinds)
+        captured["kinds"] = keep_kinds
         return captured["trace"]
 
-    monkeypatch.setattr(experiments, "_probe_tracer", spy)
+    monkeypatch.setattr(experiments, "Tracer", spy)
     run_order_experiment("sc", "md5-rsa1024", 0.1, **ORDER_ARGS)
     slim = captured["trace"]
     assert len(slim) > 0
-    assert slim.kinds() <= kinds_union(captured["selected"])
+    assert captured["kinds"] == {"batch_formed", "order_committed"}
+    assert slim.kinds() <= captured["kinds"]
 
     full = Tracer()
-    monkeypatch.setattr(experiments, "_probe_tracer", lambda selected: full)
+    monkeypatch.setattr(experiments, "Tracer", lambda keep_kinds: full)
     run_order_experiment("sc", "md5-rsa1024", 0.1, **ORDER_ARGS)
     # The full trace carries records the derived filter stops
     # retaining on the sweep hot path.
     assert len(full) > len(slim)
+
+
+@pytest.mark.parametrize(
+    "name", ["cascading-pair-failures", "delay-surge-recovery", "flash-crowd"]
+)
+def test_scenario_metrics_match_post_hoc_extraction(full_trace, name):
+    """A scenario's built-in metrics are the paper probes run leniently
+    plus four counters; the oracle over the unfiltered trace of the
+    same run — fail-overs, a view change and recovery, a population
+    workload — gives the same values, key for key."""
+    spec = BUILTIN_SCENARIOS[name]
+    result = run_scenario(spec)
+    trace = full_trace["trace"]
+
+    stats = latency_stats(collect_latencies(trace))
+    committed: dict[str, int] = {}
+    for record in trace.of_kind("order_committed"):
+        actor = record.fields["actor"]
+        committed[actor] = committed.get(actor, 0) + record.fields["n_requests"]
+    completes = trace.of_kind("failover_complete")
+    expected = {
+        "requests_issued": float(result.requests_issued),
+        "requests_committed": float(max(committed.values())),
+        "batches_measured": float(stats.count),
+        "latency_mean": stats.mean,
+        "latency_p50": stats.p50,
+        "latency_p95": stats.p95,
+        "throughput": throughput_per_process(trace, 0.0, spec.duration),
+        "failovers": float(len(completes)),
+        "failover_latency": failover_latency(trace) if completes else 0.0,
+        "view_changes": float(len(trace.of_kind("view_installed"))),
+        "recoveries": float(len(trace.of_kind("pair_recovered"))),
+        "safety_ok": 1.0,
+    }
+    metrics = result.metrics()
+    builtin = {key: metrics[key] for key in list(metrics)[:len(expected)]}
+    assert builtin == expected
+    assert list(builtin) == list(expected)  # key order is part of the contract

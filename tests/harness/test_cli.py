@@ -1,17 +1,23 @@
 """CLI tests (fast: the experiment runners are monkeypatched)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 import repro.harness.experiments as experiments
+from repro.__main__ import main as repro_main
 from repro.harness.artifact import SCHEMA_VERSION, load_artifact
+from repro.harness.cli import main
 from repro.harness.experiments import (
     DEFAULT_FAILOVER_PROBES,
     DEFAULT_ORDER_PROBES,
-    main,
 )
 from repro.harness.probes import ProbeReport
+
+#: ``--help`` of ``python -m repro`` and of every subcommand, captured
+#: with ``COLUMNS=80`` before the CLI moved out of ``experiments.py``.
+HELP_SNAPSHOT = Path(__file__).parent / "data" / "cli_help.txt"
 
 
 @pytest.fixture
@@ -271,3 +277,18 @@ def test_cli_bind_and_spawn_require_sockets(fast_runners, tmp_path, capsys):
     assert main(["fig4", "--quick", "--executor", "sockets",
                  "--bind", "not-an-address"]) == 2
     assert "HOST:PORT" in capsys.readouterr().err
+
+
+def test_cli_help_is_unchanged(monkeypatch, capsys):
+    """The CLI surface is frozen: every subcommand, flag, default and
+    help string matches the committed snapshot byte for byte."""
+    monkeypatch.setenv("COLUMNS", "80")
+    sections = HELP_SNAPSHOT.read_text().split("### repro ")[1:]
+    assert len(sections) == 16
+    for section in sections:
+        header, _, expected = section.partition("\n")
+        argv = header.removesuffix("--help").split() + ["--help"]
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == expected, f"repro {header}"

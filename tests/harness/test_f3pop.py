@@ -2,21 +2,21 @@
 
 import json
 
-from repro.harness.experiments import (
+from repro.harness.cli import main
+from repro.harness.figures import (
     F3POP_PROBES,
     FIGURES,
-    SUITE_FIGURES,
     f3pop_grid,
     f3pop_spec,
-    main,
 )
 from repro.harness.sweeps import QUICK_F3POP_CLIENTS
 
 
 def test_f3pop_is_a_figure_but_not_in_the_suite_default():
-    assert "f3pop" in FIGURES
-    assert "f3pop" not in SUITE_FIGURES
-    assert set(SUITE_FIGURES) < set(FIGURES)
+    assert not FIGURES["f3pop"].in_suite
+    assert [name for name, figure in FIGURES.items() if figure.in_suite] == [
+        "fig4", "fig5", "fig6", "f3",
+    ]
 
 
 def test_f3pop_spec_shape():

@@ -1,15 +1,14 @@
-"""Unit tests for metric extraction."""
+"""Unit tests for the metric numerics and the post-hoc oracle."""
 
 import pytest
 
 from repro.errors import MetricsError
-from repro.harness.metrics import (
-    LatencyStats,
+from repro.harness.metrics import LatencyStats, linear_fit
+from tests.harness.oracle import (
     backlog_bytes_observed,
     collect_latencies,
     failover_latency,
     latency_stats,
-    linear_fit,
     throughput_per_process,
 )
 from repro.sim.trace import Tracer

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.harness.experiments import main
-from repro.harness.runner import SCENARIO, execute
+from repro.harness.cli import main
+from repro.harness.runner import SCENARIO, execute, scenario_grid
 from repro.harness.scenario import (
     BUILTIN_SCENARIOS,
     BurstSpec,
@@ -18,7 +18,6 @@ from repro.harness.scenario import (
     load_spec,
     resolve_spec,
     run_scenario,
-    scenario_grid,
     spec_from_dict,
     spec_to_dict,
 )

@@ -10,7 +10,7 @@ import pytest
 from repro.core.replies import Reply
 from repro.core.requests import ClientRequest
 from repro.errors import ConfigError
-from repro.live.client import PopulationLoadClient, load_population
+from repro.live.client import LoadClient, load_population
 from repro.live.transport import LiveTransport
 
 
@@ -99,19 +99,25 @@ def test_alias_route_does_not_shadow_known_addresses():
 
 
 # ----------------------------------------------------------------------
-# PopulationLoadClient: f+1 matching replies per (client, req_id)
+# LoadClient: f+1 matching replies per (client, req_id), whatever
+# virtual id the request carried
 # ----------------------------------------------------------------------
 def test_population_client_tracks_per_virtual_id():
-    client = PopulationLoadClient("driver", f=1)
-    client.issue_times[("c7", 1)] = 0.0
-    client.issue_times[("c9", 2)] = 0.0
+    client = LoadClient("driver", f=1)
+    client.issue_times[1] = 0.0   # issued as c7
+    client.issue_times[2] = 0.0   # issued as c9
     for replier in ("p1", "p2"):
         reply = Reply(replier=replier, client="c7", req_id=1, seq=1,
                       result_digest=b"\xbb" * 16)
         client.on_message(replier, reply)
     assert len(client.latencies) == 1        # c7 committed (f+1 = 2)
-    assert ("c7", 1) not in client.issue_times   # matched state deleted
-    assert ("c9", 2) in client.issue_times       # still pending
+    assert 1 not in client.issue_times       # matched state deleted
+    assert 2 in client.issue_times           # still pending
+    # A late third reply, or one for a request never issued, is ignored.
+    client.on_message("p3", Reply(replier="p3", client="c7", req_id=1, seq=1,
+                                  result_digest=b"\xbb" * 16))
+    client.on_message("p1", _reply("c5", req_id=99))
+    assert len(client.latencies) == 1
 
 
 # ----------------------------------------------------------------------

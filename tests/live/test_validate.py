@@ -97,7 +97,7 @@ def test_from_points_rejects_malformed(tmp_path):
 
 
 def test_cli_exposes_live_flag(tmp_path, capsys):
-    from repro.harness.experiments import main as repro_main
+    from repro.harness.cli import main as repro_main
 
     live_path = write_live_artifact(
         reports=_fake_reports(), protocol="sc", scheme="md5-rsa1024",

@@ -4,12 +4,12 @@ import pytest
 
 from repro import ProtocolConfig
 from repro.failures.faults import CrashFault
-from repro.harness.metrics import collect_latencies, latency_stats
 from tests.conftest import (
     assert_total_order,
     assert_total_order_among_correct,
     run_protocol,
 )
+from tests.harness.oracle import collect_latencies, latency_stats
 
 
 @pytest.fixture(scope="module")

@@ -10,8 +10,8 @@ from repro.failures.faults import (
     WithholdOrdersFault,
     WrongDigestFault,
 )
-from repro.harness.metrics import collect_latencies, failover_latency
 from tests.conftest import assert_total_order_among_correct, run_protocol
+from tests.harness.oracle import failover_latency
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,8 @@ import pytest
 
 from repro import ProtocolConfig
 from repro.core.messages import OrderBatch, PairProposal, SignedMessage
-from repro.harness.metrics import collect_latencies, latency_stats
 from tests.conftest import assert_total_order, run_protocol
+from tests.harness.oracle import collect_latencies, latency_stats
 
 
 @pytest.fixture(scope="module")

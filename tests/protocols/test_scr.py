@@ -4,15 +4,17 @@ import pytest
 
 from repro import ProtocolConfig
 from repro.core.scr import STATUS_DOWN, STATUS_PERMANENTLY_DOWN, STATUS_UP
+from repro.errors import ProtocolError
 from repro.failures.faults import CrashFault, DelaySurgeFault, WrongDigestFault
 from repro.harness.cluster import build_cluster
-from repro.harness.metrics import collect_latencies, failover_latency
+from repro.harness.runner import SweepTask, run_task
 from repro.harness.workload import OpenLoopWorkload
 from tests.conftest import (
     assert_total_order,
     assert_total_order_among_correct,
     run_protocol,
 )
+from tests.harness.oracle import failover_latency
 
 
 def test_scr_deploys_3f_plus_2_with_all_pairs():
@@ -148,3 +150,16 @@ def test_crashed_member_leaves_pair_down_for_good():
     assert p1s.status == STATUS_DOWN
     assert not cluster.sim.trace.of_kind("pair_recovered")
     assert_total_order_among_correct(cluster)
+
+
+@pytest.mark.xfail(strict=True, raises=ProtocolError)
+def test_failure_free_scr_at_20ms_commits_without_conflict():
+    """Known defect (ROADMAP, aim 3): a failure-free SCR run at a 20 ms
+    batching interval view-changes under its own load, and the install
+    part then force-commits an order that contradicts one a process
+    already committed — ``conflicting commit at slot 32`` on seeds 2, 4
+    and 5 (1, 3 and 6 pass).  Strict, so the fix has to flip this."""
+    run_task(SweepTask(
+        kind="order", protocol="scr", scheme="md5-rsa1024", f=2, seed=2,
+        batching_interval=0.02, n_batches=250,
+    ))
