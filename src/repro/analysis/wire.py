@@ -7,8 +7,11 @@ hold tree-wide:
 
 * ``pickle.loads`` appears **only** in ``repro/net/framing.py`` —
   the single audited choke point where frames are read post-handshake
-  (local journal files use ``pickle.load`` on streams and are out of
-  scope; test fixtures that unpickle deliberately carry a pragma);
+  (a coalesced ``many`` frame is one pickle, so ``read_frame`` hands
+  the live transport its inner frames already decoded and unrolling a
+  batch needs no second ``loads``; local journal files use
+  ``pickle.load`` on streams and are out of scope; test fixtures that
+  unpickle deliberately carry a pragma);
 * every function in the framing module that unpickles, and every raw
   length-prefixed read helper near the wire, must consult a byte
   bound (``MAX_FRAME_BYTES`` / ``_HANDSHAKE_MAX``) before allocating
@@ -75,7 +78,8 @@ class WireSafetyChecker(Checker):
                         "pickle.loads outside repro/net/framing.py; read "
                         "frames through the framing codec (recv_msg / "
                         "read_frame) so the byte bound and the handshake "
-                        "discipline apply",
+                        "discipline apply (the inner frames of a 'many' "
+                        "arrive decoded: tuples to unroll, not bytes)",
                     )
                     continue
                 owner = owners.get(node)

@@ -393,13 +393,19 @@ class ScProcess(OrderLogProcess):
         batch: OrderBatch = signed.body
         if batch.rank != self.c or not self.is_coordinating_shadow:
             return
+        # Proposals are endorsed in sequence order, so one that arrives
+        # while an earlier one still waits for a request follows that
+        # one's sequence numbers and waits behind it.
+        expected = self.next_endorse_seq
+        if self._deferred:
+            expected = self._deferred[-1].body.last_seq + 1
         verdict = validate_order_batch(
-            batch, self.next_endorse_seq, self.pending, self.config.scheme.digest
+            batch, expected, self.pending, self.config.scheme.digest
         )
         if verdict.verdict == INVALID:
             self._value_domain_failure(verdict.reason)
             return
-        if verdict.verdict == DEFER:
+        if verdict.verdict == DEFER or self._deferred:
             self._deferred.append(signed)
             self.expect.expect(
                 ("defer", batch.first_seq), self.config.pair_delay_estimate
@@ -437,8 +443,8 @@ class ScProcess(OrderLogProcess):
     def _retry_deferred(self) -> None:
         if not self._deferred:
             return
-        still: list[SignedMessage] = []
-        for signed in self._deferred:
+        waiting, self._deferred = self._deferred, []
+        for at, signed in enumerate(waiting):
             batch: OrderBatch = signed.body
             if not self.is_coordinating_shadow or batch.rank != self.c:
                 continue
@@ -448,11 +454,12 @@ class ScProcess(OrderLogProcess):
             if verdict.verdict == VALID:
                 self._endorse(signed)
             elif verdict.verdict == DEFER:
-                still.append(signed)
+                # In sequence order: the rest wait behind this one.
+                self._deferred = waiting[at:]
+                return
             else:
                 self._value_domain_failure(verdict.reason)
                 return
-        self._deferred = still
 
     # ==================================================================
     # Normal part: N1-N3

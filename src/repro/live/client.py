@@ -146,7 +146,9 @@ def _population_arrivals(population, args, digest: StreamDigest):
 async def _offer(args, spec: dict, auth_key: bytes | None, arrivals):
     """Send one request per ``(at, client_name)`` arrival on schedule
     from one wire sender (``--client-id``), then collect replies for
-    :data:`DRAIN_GRACE`.  Returns ``(client, issued, start)``."""
+    :data:`DRAIN_GRACE`.  Returns ``(client, issued, start,
+    frames_in)``, the last being the reply messages the transport
+    handed to the client."""
     replicas = sorted(spec["addresses"])
     request_bytes = int(spec.get("request_bytes", 64))
     client = LoadClient(args.client_id, spec["f"])
@@ -176,7 +178,7 @@ async def _offer(args, spec: dict, auth_key: bytes | None, arrivals):
         )
     await asyncio.sleep(DRAIN_GRACE)
     await transport.close()
-    return client, issued, start
+    return client, issued, start, transport.frames_delivered
 
 
 async def run_load(args) -> int:
@@ -195,7 +197,7 @@ async def run_load(args) -> int:
         population = load_population(args.population)
         digest = StreamDigest()
         arrivals = _population_arrivals(population, args, digest)
-    client, issued, start = await _offer(args, spec, auth_key, arrivals)
+    client, issued, start, frames_in = await _offer(args, spec, auth_key, arrivals)
 
     latencies = client.latencies
     committed = len(latencies)
@@ -213,6 +215,9 @@ async def run_load(args) -> int:
         "latency_p50_s": percentile(latencies, 0.50) if committed else None,
         "latency_p95_s": percentile(latencies, 0.95) if committed else None,
         "throughput_rps": committed / elapsed if elapsed > 0 else 0.0,
+        # Replies read per committed request (n when every replica's
+        # reply arrives; f+1 are needed).
+        "frames_in_per_commit": frames_in / committed if committed else None,
     }
     if population is not None:
         summary["clients"] = population.clients

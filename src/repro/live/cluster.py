@@ -458,6 +458,10 @@ class _Controller:
             "divergence": (
                 list(agreement.divergence) if agreement.divergence else None
             ),
+            # LiveTransport.counters() of every node that reported.
+            "wire": {
+                name: report["wire"] for name, report in self.reports.items()
+            },
         }
         artifact_file = None
         if args.json_dir and self.reports:

@@ -373,8 +373,7 @@ async def run_node(argv_ns) -> int:
         ],
         "state_digest": process.machine.state_digest().hex(),
         "crashed": bool(process.fault.is_crashed(runtime.now)),
-        "frames_delivered": transport.frames_delivered,
-        "messages_sent": transport.messages_sent,
+        "wire": transport.counters(),
         "heartbeat": monitor.summary(),
         "rejoin": rejoin_stats,
         "chaos": chaos_stats,

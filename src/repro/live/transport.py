@@ -6,8 +6,13 @@ talks to it exactly as it talks to :class:`repro.net.network.Network`
 but delivery is real: frames are length-prefixed pickles
 (:mod:`repro.net.framing`), one dialled connection per destination
 replica with reconnect-and-backoff, and dynamic return routes for
-clients that dial in.  Two deliberate departures from the simulated
-fabric:
+clients that dial in.  At most one wire frame goes to a destination
+per event-loop turn: a lone message travels as its own
+``("msg", sender, dest, payload)`` frame, several bound for the same
+socket as one ``("many", (frame, frame, ...))`` — one pickle, one
+``write``, one read at the peer — so the per-frame cost is paid once
+per batch of messages, not once per message.  Two deliberate
+departures from the simulated fabric:
 
 * ``depart_time`` (the simulated CPU-marshalling completion) is
   ignored — a real CPU does the real work;
@@ -22,6 +27,7 @@ the owning event loop.
 from __future__ import annotations
 
 import asyncio
+import sys
 from typing import Any, Callable, Iterable
 
 from repro.errors import ConfigError
@@ -31,10 +37,15 @@ from repro.net import framing
 #: keeps only the newest frames (the protocol tolerates message loss
 #: to crashed peers — that is its whole point).
 MAX_QUEUED_FRAMES = 2048
+#: Most messages one ``many`` wire frame carries, so a coalesced frame
+#: stays far below :data:`repro.net.framing.MAX_FRAME_BYTES`; a turn
+#: that produces more writes several.
+MAX_COALESCED_FRAMES = 256
 #: Write-buffer bound for dialled-in return routes.  Those writes
 #: bypass the queued channel path, so without a cap a stalled client
 #: grows an unbounded StreamWriter buffer in the replica; past this,
-#: frames to it are shed (message loss is tolerated, memory loss is not).
+#: messages to it are shed (message loss is tolerated, memory loss is
+#: not).
 MAX_ROUTE_BUFFER_BYTES = 4 * 1024 * 1024
 
 _STOP = object()
@@ -68,14 +79,23 @@ class LiveTransport:
         # Dynamic return routes: peers that dialled us (clients, or
         # replicas whose hello arrived first), name -> StreamWriter.
         self._routes: dict[str, asyncio.StreamWriter] = {}
+        # Messages accepted for a return route this loop turn, per
+        # connection; non-empty means a _flush is scheduled, which
+        # writes each connection's list as one frame.
+        self._pending: dict[asyncio.StreamWriter, list[tuple]] = {}
         self._queues: dict[str, asyncio.Queue] = {}
         self._channels: dict[str, asyncio.Task] = {}
         self._server: asyncio.Server | None = None
         self._reader_tasks: set[asyncio.Task] = set()
         self._closed = False
+        # messages_sent / frames_delivered count protocol messages
+        # (accepted by send / handed to an actor); the wire_* pair
+        # counts the frames that crossed a socket after the hello.
         self.messages_sent = 0
         self.bytes_sent = 0
         self.frames_delivered = 0
+        self.wire_frames_out = 0
+        self.wire_frames_in = 0
         # Handlers for non-"msg" frame kinds (state transfer, control):
         # kind -> callable(frame, reply_writer | None).
         self._control: dict[str, Callable[[tuple, Any], None]] = {}
@@ -116,6 +136,17 @@ class LiveTransport:
     @property
     def names(self) -> list[str]:
         return list(self._actors)
+
+    def counters(self) -> dict[str, int]:
+        """Messages against wire frames, both directions: a ratio of
+        ``wire_frames_out`` to ``messages_sent`` near 1.0 on a busy
+        node means coalescing has stopped working."""
+        return {
+            "messages_sent": self.messages_sent,
+            "frames_delivered": self.frames_delivered,
+            "wire_frames_out": self.wire_frames_out,
+            "wire_frames_in": self.wire_frames_in,
+        }
 
     def set_link(self, src: str, dst: str, model: Any) -> None:
         """Pair links are a delay-model concept; the wire is the wire."""
@@ -207,8 +238,20 @@ class LiveTransport:
             callback(peer)
 
     def _dispatch_frame(self, frame: object, writer=None) -> None:
+        """Handle one frame read off a socket.  A ``many`` is unrolled
+        in order into the per-message path; one nested inside another
+        is dropped, not recursed into (no sender writes one)."""
+        self.wire_frames_in += 1
         if not (isinstance(frame, tuple) and frame):
             return
+        if frame[0] != "many":
+            self._dispatch_one(frame, writer)
+        elif len(frame) == 2 and isinstance(frame[1], tuple):
+            for inner in frame[1]:
+                if isinstance(inner, tuple) and inner and inner[0] != "many":
+                    self._dispatch_one(inner, writer)
+
+    def _dispatch_one(self, frame: tuple, writer) -> None:
         kind = frame[0]
         if kind == "msg":
             if len(frame) != 4:
@@ -310,10 +353,9 @@ class LiveTransport:
             # A dialled-in peer (a client awaiting replies): answer on
             # its own connection, shedding when it stops draining.
             if route.transport.get_write_buffer_size() < MAX_ROUTE_BUFFER_BYTES:
-                try:
-                    framing.write_frame(route, frame)
-                except OSError:
-                    pass
+                if not self._pending:
+                    asyncio.get_running_loop().call_soon(self._flush)
+                self._pending.setdefault(route, []).append(frame)
             return
         if dest not in self.addresses:
             return  # unreachable: a mirror-only name, or a gone client
@@ -327,11 +369,44 @@ class LiveTransport:
             queue.get_nowait()  # shed oldest: the peer is long gone
         queue.put_nowait(frame)
 
+    def _flush(self) -> None:
+        """Write what this loop turn queued for each return route."""
+        pending, self._pending = self._pending, {}
+        for route, frames in pending.items():
+            for at in range(0, len(frames), MAX_COALESCED_FRAMES):
+                if route.is_closing():
+                    break
+                try:
+                    self._write(route, frames[at : at + MAX_COALESCED_FRAMES])
+                except OSError:
+                    pass
+
+    def _write(self, writer: asyncio.StreamWriter, frames: list[tuple]) -> None:
+        """Put ``frames`` on ``writer`` as one wire frame: a lone frame
+        as itself, several as one ``many``."""
+        frame = frames[0] if len(frames) == 1 else ("many", tuple(frames))
+        try:
+            framing.write_frame(writer, frame)
+        except ConfigError as exc:
+            # Over MAX_FRAME_BYTES: the peer would drop the connection.
+            # Send what fits by itself and say what does not.
+            if len(frames) > 1:
+                for one in frames:
+                    self._write(writer, [one])
+            else:
+                print(f"{self.name}: dropped {exc}", file=sys.stderr, flush=True)
+        else:
+            self.wire_frames_out += 1
+
     async def _channel(self, dest: str, queue: asyncio.Queue) -> None:
         """Outbound connection to one peer: dial, handshake, drain the
         queue; reconnect on the shared jittered-backoff policy
         (:data:`repro.net.framing.RECONNECT`) on any failure, the
         delay sequence resetting on every successful dial.
+
+        Each wake-up takes everything already queued (up to
+        :data:`MAX_COALESCED_FRAMES`) as one wire frame, so the sends
+        of one loop turn cost one ``write`` and one ``drain``.
 
         The connection is full duplex — the peer answers over *this*
         connection (its dialled-in return route) rather than dialling
@@ -342,8 +417,10 @@ class LiveTransport:
         delays = framing.RECONNECT.delays()
         try:
             while not self._closed:
-                frame = await queue.get()
-                if frame is _STOP:
+                frames = [await queue.get()]
+                while len(frames) < MAX_COALESCED_FRAMES and not queue.empty():
+                    frames.append(queue.get_nowait())
+                if frames[-1] is _STOP:  # close() queues it last
                     break
                 while not self._closed:
                     if writer is None or writer.is_closing():
@@ -373,15 +450,15 @@ class LiveTransport:
                             writer = None
                             await asyncio.sleep(next(delays))
                             if queue.qsize() >= MAX_QUEUED_FRAMES:
-                                break  # shed this frame; newer ones queued
+                                break  # shed these frames; newer ones queued
                             continue
                     try:
-                        framing.write_frame(writer, frame)
+                        self._write(writer, frames)
                         await writer.drain()
                         break
                     except (OSError, ConnectionError):
                         writer.close()
-                        writer = None  # retry the same frame on a fresh dial
+                        writer = None  # retry the same frames on a fresh dial
         finally:
             if pump is not None:
                 pump.cancel()
@@ -406,6 +483,7 @@ class LiveTransport:
     async def close(self) -> None:
         """Stop accepting, flush nothing, drop every connection."""
         self._closed = True
+        self._pending.clear()
         if self._server is not None:
             self._server.close()
         for queue in self._queues.values():

@@ -45,7 +45,9 @@ LEN = struct.Struct(">I")
 #: attacker-controlled on an unauthenticated connection, so without a
 #: bound any peer can demand a 4 GiB allocation before the handshake
 #: even runs.  Legitimate frames (sweep tasks, protocol messages,
-#: node reports) are well under this.
+#: node reports) are well under this; writers check it too
+#: (:func:`encode_frame`), so a sender learns of an oversize frame
+#: instead of its peer silently dropping the connection.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Environment variable carrying the pre-shared cluster key.
@@ -186,13 +188,32 @@ def _with_leading_zero(
     yield from policy.delays(rng)
 
 
+def encode_frame(obj: object) -> bytes:
+    """The bytes of one frame: length header, then the pickle.
+
+    Raises :class:`~repro.errors.ConfigError` naming the frame kind
+    and size when the payload is over :data:`MAX_FRAME_BYTES` — every
+    reader refuses such a frame unread and drops the connection, so
+    nothing is written.
+    """
+    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    if len(data) > MAX_FRAME_BYTES:
+        tagged = isinstance(obj, tuple) and obj and isinstance(obj[0], str)
+        kind = obj[0] if tagged else type(obj).__name__
+        raise ConfigError(
+            f"{kind!r} frame of {len(data)} bytes is over MAX_FRAME_BYTES "
+            f"({MAX_FRAME_BYTES}); the peer would drop the connection"
+        )
+    return LEN.pack(len(data)) + data
+
+
 # ----------------------------------------------------------------------
 # Blocking-socket framing
 # ----------------------------------------------------------------------
 def send_msg(sock: socket.socket, obj: object) -> None:
-    """Write one length-prefixed pickle frame."""
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(LEN.pack(len(data)) + data)
+    """Write one length-prefixed pickle frame (:func:`encode_frame`
+    refuses an oversize one)."""
+    sock.sendall(encode_frame(obj))
 
 
 def recv_msg(sock: socket.socket) -> object:
@@ -226,9 +247,9 @@ def recv_exact(sock: socket.socket, n: int) -> bytes:
 # asyncio framing
 # ----------------------------------------------------------------------
 def write_frame(writer: asyncio.StreamWriter, obj: object) -> None:
-    """Queue one frame on an asyncio stream (caller awaits ``drain``)."""
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    writer.write(LEN.pack(len(data)) + data)
+    """Queue one frame on an asyncio stream (caller awaits ``drain``;
+    :func:`encode_frame` refuses an oversize one)."""
+    writer.write(encode_frame(obj))
 
 
 async def read_frame(reader: asyncio.StreamReader) -> object:

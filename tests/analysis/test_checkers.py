@@ -214,6 +214,21 @@ def test_rpr004_pickle_loads_outside_framing_fires():
     assert actives(lint_one("scripts/tool.py", bad), "RPR004") == []
 
 
+def test_rpr004_unrolling_a_many_frame_by_hand_is_flagged():
+    # The tempting way to "unroll" a coalesced frame in the transport:
+    # ship the inner frames as bytes and loads() each one.
+    tempting = (
+        "import pickle\n\n\n"
+        "class LiveTransport:\n"
+        "    def _dispatch_frame(self, frame, writer=None):\n"
+        "        if frame[0] == 'many':\n"
+        "            for blob in frame[1]:\n"
+        "                self._dispatch_one(pickle.loads(blob), writer)\n"
+    )
+    (finding,) = actives(lint_one("repro/live/transport.py", tempting), "RPR004")
+    assert "'many'" in finding.message and "read_frame" in finding.message
+
+
 def test_rpr004_framing_must_bound_before_unpickling():
     bounded = (
         "import pickle\n"

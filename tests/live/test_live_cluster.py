@@ -42,6 +42,15 @@ def test_cluster_commits_identical_prefix(protocol):
     assert summary["committed_prefix"] >= load["committed"]
     assert sorted(summary["reported"]) == sorted(summary["replicas"])
     assert summary["killed"] == []
+    # Messages against wire frames, where an operator can see them:
+    # f+1 = 2 replies commit a request, n = 4 (5 on SCR) may arrive.
+    assert 2 <= load["frames_in_per_commit"] <= len(summary["replicas"])
+    assert sorted(summary["wire"]) == sorted(summary["replicas"])
+    for counters in summary["wire"].values():
+        assert counters["messages_sent"] >= load["committed"]
+        assert counters["frames_delivered"] >= load["committed"]
+        # Heartbeats are wire frames too, so these only have a floor.
+        assert counters["wire_frames_out"] > 0 and counters["wire_frames_in"] > 0
 
 
 def test_sc_survives_coordinator_kill(tmp_path):

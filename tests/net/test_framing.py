@@ -86,9 +86,53 @@ def test_oversize_frame_header_is_peer_lost():
     b.close()
 
 
+def test_oversize_frame_is_refused_by_its_writer(monkeypatch):
+    """The bound is checked where the frame is made, not only where it
+    is read: the sender of an oversize frame gets an error naming the
+    frame kind and its size, and not a byte reaches the peer (which
+    would drop the connection unread, losing the frame silently)."""
+    monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 1024)
+    a, b = _pair()
+    b.settimeout(0.05)
+    try:
+        with pytest.raises(ConfigError, match=r"'report' frame of \d+ bytes") as caught:
+            send_msg(a, ("report", {"records": [0] * 2048}))
+        assert "MAX_FRAME_BYTES (1024)" in str(caught.value)
+        with pytest.raises(ConfigError, match=r"'bytes' frame of"):
+            send_msg(a, b"\x00" * 2048)  # an untagged object names its type
+        with pytest.raises(PeerLost, match="timed out"):
+            recv_msg(b)
+        # A frame at the bound exactly is every reader's largest legal one.
+        overhead = len(framing.encode_frame(b"\x00" * 1000)) - framing.LEN.size - 1000
+        at_bound = b"\x00" * (1024 - overhead)
+        assert len(framing.encode_frame(at_bound)) == framing.LEN.size + 1024
+        send_msg(a, at_bound)
+        assert recv_msg(b) == at_bound
+    finally:
+        a.close()
+        b.close()
+
+
 # ----------------------------------------------------------------------
 # asyncio framing
 # ----------------------------------------------------------------------
+def test_async_oversize_frame_is_refused_by_its_writer(monkeypatch):
+    monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 1024)
+
+    class Sink:
+        written = b""
+
+        def write(self, data: bytes) -> None:
+            self.written += data
+
+    sink = Sink()
+    with pytest.raises(ConfigError, match=r"'many' frame of \d+ bytes"):
+        framing.write_frame(sink, ("many", tuple(("msg", i, bytes([i]) * 64) for i in range(32))))
+    assert sink.written == b""
+    framing.write_frame(sink, ("msg", 0, b"x" * 64))
+    assert sink.written == framing.encode_frame(("msg", 0, b"x" * 64))
+
+
 def test_async_roundtrip_and_eof():
     async def scenario():
         received = []

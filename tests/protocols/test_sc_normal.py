@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro import ProtocolConfig
+from repro import OpenLoopWorkload, ProtocolConfig, build_cluster
 from repro.core.messages import OrderBatch, PairProposal, SignedMessage
+from repro.net.delay import ConstantDelay
 from tests.conftest import assert_total_order, run_protocol
 from tests.harness.oracle import collect_latencies, latency_stats
 
@@ -93,3 +94,31 @@ def test_sc_message_overhead_below_bft():
     sc_async = sc.network.messages_sent - sc.network.pair_messages_sent
     bft_async = bft.network.messages_sent - bft.network.pair_messages_sent
     assert sc_async / sc_batches < bft_async / bft_batches
+
+
+def test_proposals_queue_behind_a_deferred_one():
+    """A shadow that reads a client's requests late defers the proposal
+    that names them; the proposals that follow wait behind it and are
+    endorsed in sequence once the requests arrive.  (They used to be
+    checked against the sequence number the deferred one had not yet
+    advanced, and a failure-free pair fail-signalled — every closed-loop
+    run of the live cluster, where requests and proposals reach the
+    shadow on different sockets.)"""
+    config = ProtocolConfig(f=1, batching_interval=0.020)
+    cluster = build_cluster("sc", config=config, seed=1)
+    OpenLoopWorkload(cluster, rate=100, duration=0.5).install()
+    for client in cluster.clients:
+        # Well past two batching intervals plus the proposal's own trip.
+        cluster.network.set_link(client.name, "p1'", ConstantDelay(0.100))
+    cluster.start()
+    cluster.run(until=2.5)
+    trace = cluster.sim.trace
+    shadow = cluster.process("p1'")
+    assert trace.of_kind("value_domain_failure") == []
+    assert trace.of_kind("fail_signal_emitted") == []
+    endorsed = [r.fields["first_seq"] for r in trace.of_kind("order_endorsed")]
+    assert endorsed == sorted(endorsed) and len(endorsed) > 10
+    assert shadow._deferred == []
+    issued = sum(len(c.issued) for c in cluster.clients)
+    assert {p.machine.applied_seq for p in cluster.processes.values()} == {issued}
+    assert_total_order(cluster)
