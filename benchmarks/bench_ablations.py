@@ -15,7 +15,6 @@ Not in the paper, but each isolates one design decision:
 
 import pytest
 
-from benchmarks.conftest import run_once, series_table
 from repro import ProtocolConfig, build_cluster, OpenLoopWorkload
 from repro.calibration import CalibrationProfile
 from repro.failures.faults import WrongDigestFault
@@ -44,11 +43,8 @@ def _post_failover_latency(dumb: bool) -> float:
     return _mean_latency(under_new)
 
 
-def test_ablation_dumb_processes(benchmark):
-    results = run_once(
-        benchmark,
-        lambda: {dumb: _post_failover_latency(dumb) for dumb in (True, False)},
-    )
+def test_ablation_dumb_processes():
+    results = {dumb: _post_failover_latency(dumb) for dumb in (True, False)}
     print(f"\npost-failover latency: dumb-opt on {results[True]*1e3:.1f} ms, "
           f"off {results[False]*1e3:.1f} ms")
     # With the optimisation the quorum shrinks by one, so commits wait
@@ -56,7 +52,7 @@ def test_ablation_dumb_processes(benchmark):
     assert results[True] <= results[False] * 1.05
 
 
-def test_ablation_batch_size(benchmark):
+def test_ablation_batch_size():
     def sweep():
         out = []
         for batch_bytes in (256, 1024, 4096):
@@ -77,7 +73,7 @@ def test_ablation_batch_size(benchmark):
                         committed / 3.0))
         return out
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
     print()
     for batch_bytes, latency, throughput in results:
         print(f"  batch {batch_bytes:5d} B: latency {latency*1e3:6.1f} ms, "
@@ -94,7 +90,7 @@ def test_ablation_batch_size(benchmark):
     assert by_size[4096][0] <= by_size[1024][0] * 1.5
 
 
-def test_ablation_pair_link_speed(benchmark):
+def test_ablation_pair_link_speed():
     def sweep():
         out = []
         for propagation in (50e-6, 1e-3, 5e-3):
@@ -114,7 +110,7 @@ def test_ablation_pair_link_speed(benchmark):
             )
         return out
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
     print()
     for propagation, latency in results:
         print(f"  pair link {propagation*1e6:7.0f} µs: latency {latency*1e3:6.1f} ms")
@@ -128,7 +124,7 @@ def test_ablation_pair_link_speed(benchmark):
     assert 0.6 * (5e-3 - 50e-6) < added < 2.0 * (5e-3 - 50e-6)
 
 
-def test_ablation_pair_forwarding(benchmark):
+def test_ablation_pair_forwarding():
     def sweep():
         out = {}
         for forwarding in (False, True):
@@ -146,7 +142,7 @@ def test_ablation_pair_forwarding(benchmark):
             )
         return out
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
     print(f"\nforwarding off: {results[False][0]*1e3:.1f} ms, "
           f"{results[False][1]} pair-link msgs; "
           f"on: {results[True][0]*1e3:.1f} ms, {results[True][1]} pair-link msgs")

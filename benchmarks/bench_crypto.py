@@ -1,71 +1,24 @@
-"""Crypto substrate microbenchmarks.
+"""Crypto substrate claim checks.
 
-Times the from-scratch implementations (real big-int RSA/DSA and the
-pure-Python MD5/SHA-1) and sanity-checks the *calibrated cost model*
-against the paper's qualitative claims: RSA and DSA signing cost about
-the same, RSA verification is much cheaper than DSA verification, and
-larger RSA keys cost more.  (The model encodes the 2006 testbed, so
-absolute times are asserted only on the model, not on this machine.)
+Sanity-checks the *calibrated cost model* against the paper's
+qualitative claims: RSA and DSA signing cost about the same, RSA
+verification is much cheaper than DSA verification, and larger RSA
+keys cost more.  (The model encodes the 2006 testbed, so absolute
+times are asserted only on the model, not on this machine.)  The one
+check on the from-scratch big-int RSA is structural: verify is several
+times cheaper than sign.
 """
 
 import random
 
-import pytest
-
-from repro.crypto import dsa, rsa
+from repro.crypto import rsa
 from repro.crypto.costs import CryptoCostModel
-from repro.crypto.digests import digest
-from repro.crypto.md5 import md5
-from repro.crypto.sha1 import sha1
-from repro.crypto.signing import SimulatedSignatureProvider, default_dsa_parameters
-from repro.crypto.schemes import MD5_RSA_1024
 
 RSA_KEY = rsa.generate_keypair(1024, random.Random(1))
-DSA_KEY = dsa.generate_keypair(default_dsa_parameters(1024), random.Random(2))
 MESSAGE = b"order<c, o, D(m)>" * 8
 
 
-def test_rsa1024_sign(benchmark):
-    signature = benchmark(lambda: rsa.sign(RSA_KEY, MESSAGE, "md5"))
-    assert rsa.verify(RSA_KEY.public, MESSAGE, signature, "md5")
-
-
-def test_rsa1024_verify(benchmark):
-    signature = rsa.sign(RSA_KEY, MESSAGE, "md5")
-    ok = benchmark(lambda: rsa.verify(RSA_KEY.public, MESSAGE, signature, "md5"))
-    assert ok
-
-
-def test_dsa1024_sign(benchmark):
-    signature = benchmark(lambda: dsa.sign(DSA_KEY, MESSAGE, "sha1"))
-    assert dsa.verify(DSA_KEY.public, MESSAGE, signature, "sha1")
-
-
-def test_dsa1024_verify(benchmark):
-    signature = dsa.sign(DSA_KEY, MESSAGE, "sha1")
-    ok = benchmark(lambda: dsa.verify(DSA_KEY.public, MESSAGE, signature, "sha1"))
-    assert ok
-
-
-def test_md5_1kb(benchmark):
-    data = bytes(range(256)) * 4
-    out = benchmark(lambda: md5(data))
-    assert len(out) == 16
-
-
-def test_sha1_1kb(benchmark):
-    data = bytes(range(256)) * 4
-    out = benchmark(lambda: sha1(data))
-    assert len(out) == 20
-
-
-def test_simulated_token_sign(benchmark):
-    provider = SimulatedSignatureProvider(MD5_RSA_1024, ["p1"])
-    sig = benchmark(lambda: provider.sign("p1", MESSAGE))
-    assert provider.verify(sig, MESSAGE, "p1")
-
-
-def test_real_rsa_verify_faster_than_sign(benchmark):
+def test_real_rsa_verify_faster_than_sign():
     """The structural asymmetry (e = 65537 vs a full-width private
     exponent) that the paper's cost argument rests on holds in the
     from-scratch implementation too."""
@@ -82,12 +35,11 @@ def test_real_rsa_verify_faster_than_sign(benchmark):
     verify_time = measure(
         lambda: rsa.verify(RSA_KEY.public, MESSAGE, signature, "md5")
     )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert verify_time < sign_time / 3
 
 
-def test_cost_model_matches_paper_claims(benchmark):
-    model = benchmark(CryptoCostModel.p4_2006)
+def test_cost_model_matches_paper_claims():
+    model = CryptoCostModel.p4_2006()
     rsa1024 = model.costs("md5-rsa1024")
     rsa1536 = model.costs("md5-rsa1536")
     dsa1024 = model.costs("sha1-dsa1024")

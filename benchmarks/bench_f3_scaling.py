@@ -17,7 +17,6 @@ from repro.harness.sweeps import (
     F3_INTERVALS,
     F3_PROTOCOLS,
     STEADY_INTERVAL,
-    run_once,
     series_table,
 )
 
@@ -38,8 +37,8 @@ def _sweep():
     )
 
 
-def test_f3_scaling(benchmark):
-    series = run_once(benchmark, _sweep)
+def test_f3_scaling():
+    series = _sweep()
     print()
     print(series_table(
         "f = 2 vs f = 3 — order latency (s), MD5+RSA-1024",

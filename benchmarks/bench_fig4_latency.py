@@ -23,7 +23,6 @@ from repro.harness.sweeps import (
     BENCH_INTERVALS,
     ORDER_PROTOCOLS,
     STEADY_INTERVAL,
-    run_once,
     series_table,
 )
 
@@ -63,8 +62,8 @@ def _check_panel(scheme: str, series) -> None:
 @pytest.mark.parametrize(
     "scheme", ["md5-rsa1024", "md5-rsa1536", "sha1-dsa1024"]
 )
-def test_fig4_panel(benchmark, scheme):
-    series = run_once(benchmark, lambda: _sweep(scheme))
+def test_fig4_panel(scheme):
+    series = _sweep(scheme)
     print()
     print(series_table(
         f"Figure 4 — order latency (s) vs batching interval [{scheme}]",

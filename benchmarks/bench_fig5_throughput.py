@@ -21,7 +21,6 @@ from repro.harness.runner import execute, order_grid, order_series
 from repro.harness.sweeps import (
     BENCH_INTERVALS,
     ORDER_PROTOCOLS,
-    run_once,
     series_table,
 )
 
@@ -65,8 +64,8 @@ def _check_panel(scheme: str, series) -> None:
 @pytest.mark.parametrize(
     "scheme", ["md5-rsa1024", "md5-rsa1536", "sha1-dsa1024"]
 )
-def test_fig5_panel(benchmark, scheme):
-    series = run_once(benchmark, lambda: _sweep(scheme))
+def test_fig5_panel(scheme):
+    series = _sweep(scheme)
     print()
     print(series_table(
         f"Figure 5 — throughput (req/s/process) vs batching interval [{scheme}]",

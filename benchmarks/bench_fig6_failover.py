@@ -20,7 +20,7 @@ import pytest
 
 from repro.harness.metrics import linear_fit
 from repro.harness.runner import execute, failover_grid, failover_series
-from repro.harness.sweeps import BACKLOG_BATCHES, run_once, series_table
+from repro.harness.sweeps import BACKLOG_BATCHES, series_table
 
 _steady_by_scheme: dict[tuple[str, str], float] = {}
 
@@ -32,8 +32,8 @@ def _sweep(protocol: str, scheme: str):
 
 @pytest.mark.parametrize("scheme", ["md5-rsa1024", "md5-rsa1536", "sha1-dsa1024"])
 @pytest.mark.parametrize("protocol", ["sc", "scr"])
-def test_fig6_curve(benchmark, protocol, scheme):
-    pts = run_once(benchmark, lambda: _sweep(protocol, scheme))
+def test_fig6_curve(protocol, scheme):
+    pts = _sweep(protocol, scheme)
     print()
     print(series_table(
         f"Figure 6 — fail-over latency (s) vs BackLog size [{protocol}, {scheme}]",

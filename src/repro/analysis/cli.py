@@ -2,10 +2,9 @@
 
 Text mode prints one finding per line (``path:line:col: CODE message``)
 plus a per-code summary; ``--format json`` emits the stable payload
-documented in the README for CI trend jobs and future tooling,
-mirroring the ``perf --json`` record style.  Exit 0 when no *active*
-finding remains, 1 otherwise, 2 on usage errors (via the shared
-:class:`~repro.errors.ReproError` handling).
+documented in the README for CI jobs and future tooling.  Exit 0
+when no *active* finding remains, 1 otherwise, 2 on usage errors (via
+the shared :class:`~repro.errors.ReproError` handling).
 """
 
 from __future__ import annotations

@@ -23,9 +23,9 @@ figures.
 * :mod:`~repro.harness.cli` — the command line:
   ``python -m repro fig4`` / ``python -m repro suite``;
 * :mod:`~repro.harness.artifact` — machine-readable ``BENCH_*.json``
-  benchmark artifacts;
-* :mod:`~repro.harness.baseline` — perf-regression comparator over
-  artifacts;
+  sweep artifacts;
+* :mod:`~repro.harness.baseline` — simulated-metric regression
+  comparator over artifacts;
 * :mod:`~repro.harness.sweeps` — shared sweep constants and helpers;
 * :mod:`~repro.harness.report` — plain-text rendering of the series.
 """

@@ -8,7 +8,7 @@ the sweep runner, declarative scenarios and the registries::
     python -m repro compare out/BENCH_fig4.json baselines/BENCH_fig4.json
     python -m repro scenario bursty-load --seeds 1,2,3 --jobs 4
 
-The live-cluster, perf, worker and lint subcommands import their
+The live-cluster, worker and lint subcommands import their
 implementation only while the parser is built, so importing this
 module pulls in neither asyncio and the live stack nor the analyser.
 """
@@ -272,6 +272,8 @@ def _cmd_probes(args) -> int:
 
 
 def _cmd_protocols(args) -> int:
+    if args.f < 1:
+        raise ConfigError(f"f must be >= 1, got {args.f}")
     rows = [
         (
             plugin.name,
@@ -365,7 +367,6 @@ def _add_scenario_arguments(parser) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree; every subparser carries its ``handler``."""
     from repro.analysis.cli import add_lint_arguments, cmd_lint
-    from repro.harness.perf import add_perf_arguments, cmd_perf
     from repro.live.client import add_load_arguments, cmd_load
     from repro.live.cluster import add_serve_arguments, cmd_serve
 
@@ -451,10 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_load_arguments(command(
         "load", cmd_load,
         help="drive a live cluster with an open-loop request stream",
-    ))
-    add_perf_arguments(command(
-        "perf", cmd_perf,
-        help="time the hot-path reference point (wall-time telemetry)",
     ))
     add_lint_arguments(command(
         "lint", cmd_lint,

@@ -1,11 +1,10 @@
-"""Shared sweep vocabulary for benchmarks, CLI and the runner.
+"""Shared sweep vocabulary for the claim checks, CLI and the runner.
 
-One home for the constants and small helpers that were previously
-copy-pasted between ``benchmarks/conftest.py`` and the individual
-``bench_*.py`` files: the swept batching intervals, the backlog sizes
-of Figure 6, and the table renderer the benchmarks print with.  The
-suite CLI's quick/full sweep shapes live here too, so the benchmark
-files, ``python -m repro suite`` and the tests all measure the same
+One home for the constants and small helpers the paper-claim checks
+(``benchmarks/bench_*.py``), ``python -m repro suite`` and the tests
+share: the swept batching intervals, the backlog sizes of Figure 6,
+and the table renderer the claim checks print with.  The suite CLI's
+quick/full sweep shapes live here too, so all three measure the same
 grids.
 """
 
@@ -16,8 +15,8 @@ PAPER_INTERVALS = (0.040, 0.060, 0.080, 0.100, 0.150, 0.250, 0.500)
 #: The crypto schemes of Figures 4-6, in presentation order.
 PAPER_SCHEME_NAMES = ("md5-rsa1024", "md5-rsa1536", "sha1-dsa1024")
 
-#: Reduced interval sweep the pytest benchmarks regenerate (keeps the
-#: suite's runtime reasonable while spanning the saturation knee).
+#: Reduced interval sweep the claim checks regenerate (keeps their
+#: runtime reasonable while spanning the saturation knee).
 BENCH_INTERVALS = (0.040, 0.060, 0.100, 0.250, 0.500)
 #: Quick-mode intervals for CI smoke runs.
 QUICK_INTERVALS = (0.040, 0.100, 0.500)
@@ -55,8 +54,3 @@ def series_table(title: str, series: dict[str, list[tuple[float, float]]],
     from repro.harness.report import render_series
 
     return render_series(title, xlabel, ylabel, series)
-
-
-def run_once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

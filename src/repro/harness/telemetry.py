@@ -23,12 +23,6 @@ def wall_clock() -> float:
     return time.perf_counter()
 
 
-def unix_now() -> float:
-    """The wall time as a Unix timestamp, for artifact ``created``
-    fields and log stamps — never for measured quantities."""
-    return time.time()
-
-
 class Stopwatch:
     """Elapsed wall time since construction (or the last ``restart``).
 

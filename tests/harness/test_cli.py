@@ -279,12 +279,19 @@ def test_cli_bind_and_spawn_require_sockets(fast_runners, tmp_path, capsys):
     assert "HOST:PORT" in capsys.readouterr().err
 
 
+def test_cli_protocols_rejects_f_below_one(capsys):
+    """The n(f) column takes the same f every ProtocolConfig does."""
+    for bad in ("0", "-1"):
+        assert main(["protocols", "--f", bad]) == 2
+        assert "f must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_help_is_unchanged(monkeypatch, capsys):
     """The CLI surface is frozen: every subcommand, flag, default and
     help string matches the committed snapshot byte for byte."""
     monkeypatch.setenv("COLUMNS", "80")
     sections = HELP_SNAPSHOT.read_text().split("### repro ")[1:]
-    assert len(sections) == 16
+    assert len(sections) == 15
     for section in sections:
         header, _, expected = section.partition("\n")
         argv = header.removesuffix("--help").split() + ["--help"]

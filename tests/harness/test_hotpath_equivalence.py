@@ -13,6 +13,16 @@ import random
 
 import pytest
 
+from repro.core.messages import OrderBatch
+from repro.crypto.costs import fast_crypto
+from repro.crypto.schemes import MD5_RSA_1024
+from repro.crypto.signed import (
+    SignedMessage,
+    countersign,
+    sign_message,
+    verify_signed,
+)
+from repro.crypto.signing import SimulatedSignatureProvider
 from repro.harness import probes as probe_registry
 from repro.harness.experiments import run_order_experiment
 from repro.harness.probes import Probe, ProbeContext
@@ -137,6 +147,23 @@ def test_fast_crypto_metrics_byte_identical(protocol):
     )
     assert fast.values == default.values
     assert fast.events_processed == default.events_processed
+
+
+def test_fast_crypto_tokens_verify_chains_and_reject_forged_bodies():
+    """Identity tokens stand in for canonical bytes: sign and verify
+    agree on them, and a body the signer never saw still mismatches."""
+    provider = SimulatedSignatureProvider(MD5_RSA_1024, ["p1", "p1'"])
+    with fast_crypto():
+        signed = countersign(
+            provider, "p1'",
+            sign_message(provider, "p1", OrderBatch(rank=1, batch_id=7, entries=())),
+        )
+        assert verify_signed(provider, signed)
+        forged = SignedMessage(
+            body=OrderBatch(rank=1, batch_id=8, entries=()),
+            signatures=signed.signatures,
+        )
+        assert not verify_signed(provider, forged)
 
 
 class _DigestReadingProbe(Probe):

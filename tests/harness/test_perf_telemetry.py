@@ -23,7 +23,6 @@ from repro.harness.artifact import (
     write_artifact,
 )
 from repro.harness.baseline import compare
-from repro.harness.perf import REFERENCE_TASK, microbench, run_reference_point
 from repro.harness.runner import SweepTask, execute, run_task
 
 BASELINE_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
@@ -139,31 +138,3 @@ def test_v3_requires_per_point_probes(quick_results):
     del doc["points"][0]["probes"]
     with pytest.raises(ConfigError, match="probes"):
         validate(doc)
-
-
-# ----------------------------------------------------------------------
-# The perf harness itself
-# ----------------------------------------------------------------------
-def test_reference_point_is_the_profiled_sweep_point():
-    assert REFERENCE_TASK.protocol == "sc"
-    assert REFERENCE_TASK.scheme == "md5-rsa1024"
-    assert REFERENCE_TASK.batching_interval == pytest.approx(0.01)
-    assert REFERENCE_TASK.n_batches == 60
-    # stays pure/picklable like every sweep task
-    assert dataclasses.replace(REFERENCE_TASK, seed=2) != REFERENCE_TASK
-
-
-def test_microbench_reports_positive_rates():
-    rows = microbench()
-    assert {name for name, _, _ in rows} >= {
-        "canonical encode (fast, memo-warm)",
-        "signing_bytes (cached)",
-    }
-    assert all(rate > 0 for _, rate, _ in rows)
-
-
-def test_run_reference_point_measures_events():
-    perf = run_reference_point()
-    assert perf.events > 0
-    assert perf.events_per_second > 0
-    assert perf.wall_time_s > 0
