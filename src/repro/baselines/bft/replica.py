@@ -205,6 +205,11 @@ class BftReplica(OrderProcessBase):
             self.states[(view, seq)] = state
         return state
 
+    def _released(self, view: int, seq: int) -> bool:
+        """Executed here and collected since: a late prepare or commit
+        must not bring its state back."""
+        return seq < self._exec_next and (view, seq) not in self.states
+
     def _batch_digest(self, batch: OrderBatch) -> bytes:
         return digest(self.config.scheme.digest, canonical_bytes(batch))
 
@@ -242,6 +247,8 @@ class BftReplica(OrderProcessBase):
         prepare: Prepare = signed.body
         if sender != prepare.replica or prepare.view != self.view or self.in_view_change:
             return
+        if self._released(prepare.view, prepare.seq):
+            return
         if sender == self.primary_of(prepare.view):
             return  # the primary never prepares
         if not self.check_signed(signed, (prepare.replica,)):
@@ -269,6 +276,8 @@ class BftReplica(OrderProcessBase):
     def _on_commit(self, sender: str, signed: SignedMessage) -> None:
         commit: Commit = signed.body
         if sender != commit.replica or commit.view != self.view or self.in_view_change:
+            return
+        if self._released(commit.view, commit.seq):
             return
         if not self.check_signed(signed, (commit.replica,)):
             return

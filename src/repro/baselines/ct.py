@@ -161,7 +161,7 @@ class CtProcess(OrderLogProcess):
         if sender != ack.acker:
             return
         body = ack.order.body
-        if not isinstance(body, OrderBatch):
+        if not isinstance(body, OrderBatch) or self._released(body):
             return
         slot = self.log.slots.get(body.first_seq)
         if (slot is None or slot.order is None) and body.rank == self.c:
@@ -187,6 +187,10 @@ class CtProcess(OrderLogProcess):
         if not self.installing and silent > self.liveness_period and self.unassigned_work():
             self._begin_install()
         self._arm_liveness_timer()
+
+    def _forget_requests(self, keys: list[tuple[str, int]]) -> None:
+        super()._forget_requests(keys)
+        self.sequenced_keys.difference_update(keys)
 
     def unassigned_work(self) -> bool:
         """Only suspect a silent coordinator when work is pending:

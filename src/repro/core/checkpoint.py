@@ -9,10 +9,17 @@ sequence number, the checkpoint is *stable* — at least one correct
 process holds that state — and committed slots below it can be
 discarded.
 
+A stable checkpoint releases everything an executed batch pins, not
+just its log slot: pooled requests, per-slot tables and (the signing
+cache being bounded) the signed-message graphs; a per-client record of
+executed ids keeps execution exactly once afterwards.
+
 Catch-up requests reaching below the stable checkpoint cannot be served
-from the log anymore; a production system would fall back to state
-transfer (shipping the checkpointed state itself), which we note as the
-documented boundary of this reproduction.
+from the log anymore.  Simulated runs leave it there (checkpoints are
+off unless a config asks for them).  The live runtime always checkpoints
+(``repro.live.cluster.LIVE_CHECKPOINT_INTERVAL``) and falls back to state
+transfer: a replica that rejoins fetches the committed prefix from a
+peer's ``machine.history`` and replays it (:mod:`repro.live.recovery`).
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ so everything that is neither runs as the *same code* under all three.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Iterable, Iterator
 
 from repro.calibration import CalibrationProfile
@@ -47,6 +48,7 @@ from repro.core.requests import ClientRequest
 from repro.core.service import ReplicatedStateMachine
 from repro.crypto.costs import OpCosts
 from repro.crypto.digests import digest
+from repro.crypto.signed import signing_cache_size
 from repro.crypto.signing import SignatureProvider
 from repro.failures.faults import FaultPlan
 from repro.net.addresses import base_index
@@ -93,7 +95,14 @@ class OrderProcessBase(Actor):
         self.fault = FaultPlan(active_from=float("inf"))
         # Requests known to this process (clients send to all nodes).
         self.pending: dict[tuple[str, int], ClientRequest] = {}
-        self.request_arrival: dict[tuple[str, int], float] = {}
+        # With checkpoints on, a stable checkpoint drops executed
+        # requests from the pool and this record keeps them executed
+        # *once*: per client, every id <= floor has executed, plus the
+        # ids above it that have (see ``has_executed``).
+        self._pruning = config.checkpoint_interval > 0
+        self._executed_batches: deque[OrderBatch] = deque()  # not yet stable
+        self._executed_floor: dict[str, int] = {}
+        self._executed_above: dict[str, set[int]] = {}
         # True once the process has been turned "dumb" (Section 4.3):
         # it keeps executing but no longer transmits.
         self.dumb = False
@@ -298,12 +307,57 @@ class OrderProcessBase(Actor):
     # Request pool
     # ------------------------------------------------------------------
     def note_request(self, request: ClientRequest) -> bool:
-        """Record a client request; False if it was already known."""
-        if request.key in self.pending:
+        """Record a client request; False if it was already known, or
+        has executed (a late copy is neither pooled nor ordered again)."""
+        key = request.key
+        if key in self.pending or (self._pruning and self.has_executed(*key)):
             return False
-        self.pending[request.key] = request
-        self.request_arrival[request.key] = self.sim.now
+        self.pending[key] = request
         return True
+
+    def has_executed(self, client: str, req_id: int) -> bool:
+        """Whether the exactly-once record covers this request.  The
+        record is O(outstanding window) for a client whose ids are
+        contiguous and one int per executed request for sparse ids
+        (population traffic numbers requests pool-wide); a tighter
+        bound for that traffic is out of scope."""
+        return req_id <= self._executed_floor.get(client, 0) or req_id in (
+            self._executed_above.get(client, ())
+        )
+
+    def _record_executed(self, client: str, req_id: int) -> None:
+        floor = self._executed_floor.get(client, 0)
+        if req_id != floor + 1:
+            if req_id > floor:
+                self._executed_above.setdefault(client, set()).add(req_id)
+            return
+        above = self._executed_above.get(client)
+        if above:  # the floor rises through whatever executed ahead of it
+            while req_id + 1 in above:
+                req_id += 1
+                above.remove(req_id)
+            if not above:
+                del self._executed_above[client]
+        self._executed_floor[client] = req_id
+
+    def _forget_requests(self, keys: list[tuple[str, int]]) -> None:
+        """Drop executed requests from every per-request table."""
+        for key in keys:
+            self.pending.pop(key, None)
+        self.ordered_keys.difference_update(keys)
+
+    def retained_state(self) -> dict[str, int]:
+        """What this process still holds per batch and per request (the
+        live node report's ``state`` block): bounded by the checkpoint
+        window, whatever the run length."""
+        return {
+            "log_slots": sum(1 for _ in self._sequenced_batches()),
+            "pooled_requests": len(self.pending),
+            "executed_record": len(self._executed_floor)
+            + sum(map(len, self._executed_above.values())),
+            "signing_cache": signing_cache_size(),
+            "stable_seq": self.checkpoints.stable_seq,
+        }
 
     # ------------------------------------------------------------------
     # Pipeline hooks (what differs between protocols)
@@ -461,16 +515,17 @@ class OrderProcessBase(Actor):
     # ------------------------------------------------------------------
     def _execute_ready(self) -> None:
         """Apply committed batches in sequence order, as far as they go."""
-        progressed = False
         while (batch := self._committed_batch(self._exec_next)) is not None:
             for entry in batch.entries:
                 self.machine.apply(entry)
             self._exec_next = batch.last_seq + 1
-            progressed = True
             if self.config.send_replies:
                 self._send_replies(batch)
-        if progressed:
-            self._maybe_emit_checkpoint()
+            if self._pruning:
+                for entry in batch.entries:
+                    self._record_executed(entry.client, entry.req_id)
+                self._executed_batches.append(batch)
+                self._maybe_emit_checkpoint()
 
     def _send_replies(self, batch: OrderBatch) -> None:
         for entry in batch.entries:
@@ -488,12 +543,12 @@ class OrderProcessBase(Actor):
             )
 
     def _maybe_emit_checkpoint(self) -> None:
-        """Log truncation at ``f + 1`` matching state digests."""
-        interval = self.config.checkpoint_interval
-        if interval <= 0:
-            return
+        """Log truncation at ``f + 1`` matching state digests.  Asked
+        after every executed batch (checkpointing runs only), so the
+        claimed seq depends on the batch sequence alone and processes
+        that execute the same batches claim the same points."""
         applied = self.machine.applied_seq
-        if applied - self._last_checkpoint_seq < interval:
+        if applied - self._last_checkpoint_seq < self.config.checkpoint_interval:
             return
         self._last_checkpoint_seq = applied
         claim = Checkpoint(
@@ -512,6 +567,12 @@ class OrderProcessBase(Actor):
     def _note_checkpoint(self, claim: Checkpoint) -> None:
         if self.checkpoints.note(claim):
             stable = self.checkpoints.stable_seq
+            # Release everything a stable batch pins, not just its slot.
+            done = self._executed_batches
+            keys: list[tuple[str, int]] = []
+            while done and done[0].last_seq <= stable:
+                keys += [(e.client, e.req_id) for e in done.popleft().entries]
+            self._forget_requests(keys)
             dropped = self._collect_garbage(stable)
             self.trace("checkpoint_stable", seq=stable, dropped=dropped)
 
@@ -545,12 +606,17 @@ class OrderLogProcess(OrderProcessBase):
             return
         if batch.first_seq < self.next_expected:
             slot = self.log.slots.get(batch.first_seq)
-            if slot is not None and slot.acked:
+            if (slot is not None and slot.acked) or self._released(batch):
                 return  # duplicate
         self._ack_order(signed)
         # Drain any parked successors.
         while self.next_expected in self.parked:
             self._ack_order(self.parked.pop(self.next_expected))
+
+    def _released(self, batch: OrderBatch) -> bool:
+        """Executed here and truncated since: late orders and acks for
+        it must not bring the slot back (to be acked and committed again)."""
+        return batch.last_seq < self._exec_next and batch.first_seq not in self.log.slots
 
     def _maybe_commit(self, first_seq: int) -> None:
         slot = self.log.slots.get(first_seq)

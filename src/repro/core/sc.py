@@ -133,7 +133,6 @@ class ScProcess(OrderLogProcess):
 
         # --- shadow endorsement state ---------------------------------
         self.next_endorse_seq = 1
-        self.endorsed: dict[int, OrderBatch] = {}  # first_seq -> endorsed batch
         self._deferred: list[SignedMessage] = []  # proposals awaiting requests
         self.proposed: dict[int, OrderBatch] = {}  # pc side: first_seq -> own batch
 
@@ -431,7 +430,6 @@ class ScProcess(OrderLogProcess):
             doubly = self.make_countersigned(bad)
         else:
             doubly = self.make_countersigned(signed)
-        self.endorsed[batch.first_seq] = batch
         self.next_endorse_seq = batch.last_seq + 1
         for entry in batch.entries:
             self.watch.note_ordered((entry.client, entry.req_id))
@@ -525,7 +523,7 @@ class ScProcess(OrderLogProcess):
             return
         order = ack.order
         body = order.body
-        if not isinstance(body, OrderBatch):
+        if not isinstance(body, OrderBatch) or self._released(body):
             return
         is_install = bool(body.entries) and body.entries[0].client == INSTALL_CLIENT
         slot = self.log.slots.get(body.first_seq)
@@ -562,6 +560,13 @@ class ScProcess(OrderLogProcess):
         signed = self.make_signed(claim)
         self.trace("checkpoint_emitted", seq=claim.seq)
         return signed
+
+    def _collect_garbage(self, stable_seq: int) -> int:
+        """The coordinator's own-proposal table goes with its slots."""
+        self.proposed = {
+            s: batch for s, batch in self.proposed.items() if batch.last_seq > stable_seq
+        }
+        return super()._collect_garbage(stable_seq)
 
     # ==================================================================
     # Fail-signalling (Section 3.2)
@@ -1087,6 +1092,8 @@ class ScProcess(OrderLogProcess):
         # multicasts address all processes).
         if isinstance(forward.payload, ClientRequest):
             self.note_request(forward.payload)
+            if forward.payload.key not in self.pending:
+                return  # executed and released: nothing is owed for it
             if self.is_coordinating_shadow:
                 self.watch.note_request(forward.payload.key)
                 self._retry_deferred()

@@ -50,9 +50,16 @@ def _signing_bytes_uncached(body: Any, prior: tuple[Signature, ...]) -> bytes:
 # values that encode differently) and written only when the canonical
 # encoder certified the body deeply immutable, so an entry can neither
 # alias nor go stale.  Entries hold the keyed objects, keeping their
-# ids valid for the entry's lifetime.
-_SIGNING_CACHE_MAX = 8192
+# ids valid for the entry's lifetime -- so the bound is also how many
+# whole message graphs log truncation cannot free.  Reuse distance is
+# one batch's sign -> countersign -> verify fan-out; 512 covers it.
+_SIGNING_CACHE_MAX = 512
 _signing_cache: OrderedDict[tuple[int, ...], tuple] = OrderedDict()
+
+
+def signing_cache_size() -> int:
+    """Entries (each pinning one signed body) the cache holds now."""
+    return len(_signing_cache)
 
 
 def signing_bytes(body: Any, prior: tuple[Signature, ...]) -> bytes:

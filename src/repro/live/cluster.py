@@ -62,6 +62,11 @@ JOIN_TIMEOUT = 30.0
 START_GRACE = 0.4
 #: How long the controller waits for each node's report after stop.
 REPORT_TIMEOUT = 5.0
+#: Sequence numbers between a live replica's checkpoints (always on:
+#: a stable checkpoint is what lets a replica drop log slots, pooled
+#: requests and signed-message graphs).  256 is 16 full 1 KB batches:
+#: one signed Checkpoint multicast per 256 commits, a shallow heap.
+LIVE_CHECKPOINT_INTERVAL = 256
 
 
 def parse_fault_args(kills: list[str], pauses: list[str]) -> list[tuple]:
@@ -153,6 +158,7 @@ class _Controller:
             heartbeat_interval=args.heartbeat_interval,
             view_timeout=args.view_timeout,
             send_replies=True,
+            checkpoint_interval=LIVE_CHECKPOINT_INTERVAL,
         )
         self.names = plugin.process_names(self.config)
         self.faults = parse_fault_args(args.kill_after, args.pause_after)
@@ -338,6 +344,7 @@ class _Controller:
                 "batching_interval": args.batching_interval,
                 "heartbeat_interval": args.heartbeat_interval,
                 "view_timeout": args.view_timeout,
+                "checkpoint_interval": self.config.checkpoint_interval,
                 "seed": args.seed,
                 "addresses": dict(self.joined),
                 "faults": self.faults,
@@ -458,9 +465,13 @@ class _Controller:
             "divergence": (
                 list(agreement.divergence) if agreement.divergence else None
             ),
-            # LiveTransport.counters() of every node that reported.
+            # LiveTransport.counters() and OrderProcessBase.retained_state()
+            # of every node that reported.
             "wire": {
                 name: report["wire"] for name, report in self.reports.items()
+            },
+            "state": {
+                name: report["state"] for name, report in self.reports.items()
             },
         }
         artifact_file = None

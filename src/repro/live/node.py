@@ -157,6 +157,7 @@ def config_from_spec(spec: dict):
         heartbeat_interval=spec["heartbeat_interval"],
         view_timeout=spec["view_timeout"],
         send_replies=True,
+        checkpoint_interval=spec["checkpoint_interval"],
     )
 
 
@@ -374,6 +375,7 @@ async def run_node(argv_ns) -> int:
         "state_digest": process.machine.state_digest().hex(),
         "crashed": bool(process.fault.is_crashed(runtime.now)),
         "wire": transport.counters(),
+        "state": process.retained_state(),
         "heartbeat": monitor.summary(),
         "rejoin": rejoin_stats,
         "chaos": chaos_stats,

@@ -36,6 +36,12 @@ live commit are pulled the same way (``base=`` the live machine) and
 executed via the process's own ``_execute_ready`` cascade, so the
 rejoined replica's history keeps extending even across the handoff
 window.
+
+Checkpoints and a rejoined replica: its own checkpoint claims start
+from the snapshot, so their sequence numbers may never line up with its
+peers'.  It does not need them to: it truncates on the peers' ``f + 1``
+matching claims like everyone else, and ``CheckpointTracker`` drops its
+stale claims at the next stable point.
 """
 
 from __future__ import annotations

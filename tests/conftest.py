@@ -60,6 +60,13 @@ def assert_total_order(cluster) -> None:
         assert history == longest[: len(history)], "divergent execution histories"
 
 
+def assert_executed_once(cluster) -> None:
+    """Exactly-once: no process's history holds a request digest twice."""
+    for name, process in cluster.processes.items():
+        digests = [digest for _seq, digest in process.machine.history]
+        assert len(set(digests)) == len(digests), f"{name} executed a request twice"
+
+
 def faulty_names(cluster) -> set[str]:
     """Processes with an activated fault plan (excluded from safety
     checks where their local state is allowed to be arbitrary)."""

@@ -23,6 +23,7 @@ import time
 import pytest
 
 from cluster_utils import finish_serve, run_load, start_serve
+from repro.live.cluster import LIVE_CHECKPOINT_INTERVAL
 
 
 @pytest.mark.parametrize("protocol", ("sc", "scr", "bft", "ct"))
@@ -51,6 +52,7 @@ def test_cluster_commits_identical_prefix(protocol):
         assert counters["frames_delivered"] >= load["committed"]
         # Heartbeats are wire frames too, so these only have a floor.
         assert counters["wire_frames_out"] > 0 and counters["wire_frames_in"] > 0
+    assert sorted(summary["state"]) == sorted(summary["replicas"])
 
 
 def test_sc_survives_coordinator_kill(tmp_path):
@@ -62,12 +64,14 @@ def test_sc_survives_coordinator_kill(tmp_path):
         "--kill-after", "p1:2.5", "--json-dir", str(tmp_path),
     )
     try:
-        load = run_load(control, rate=40, duration=5)
+        # Enough requests that a checkpoint (every 256 commits) has to
+        # stabilise among the survivors after the fail-over.
+        load = run_load(control, rate=80, duration=5)
         summary = finish_serve(proc, timeout=40)
     finally:
         if proc.poll() is None:
             proc.kill()
-    assert load["issued"] > 0
+    assert load["issued"] > LIVE_CHECKPOINT_INTERVAL
     # The fail-over is supposed to be invisible to correct clients.
     assert load["committed"] >= 0.9 * load["issued"]
     assert summary["killed"] == ["p1"]
@@ -75,6 +79,12 @@ def test_sc_survives_coordinator_kill(tmp_path):
     assert len(summary["survivors"]) == 3
     assert summary["histories_agree"] is True
     assert summary["committed_prefix"] > 0
+    # Checkpoints are on for every live node: each survivor has seen a
+    # stable one and holds a window of the log, not the run.
+    for name in summary["survivors"]:
+        state = summary["state"][name]
+        assert state["stable_seq"] > 0, (name, state)
+        assert state["log_slots"] <= 2 * (LIVE_CHECKPOINT_INTERVAL + 256), (name, state)
 
     artifact = json.loads((tmp_path / "BENCH_live_sc.json").read_text())
     assert artifact["schema_version"] == 3

@@ -349,3 +349,45 @@ def test_bind_gate_requires_key_off_loopback():
     require_auth_for_bind("0.0.0.0", b"key")  # keyed: fine anywhere
     with pytest.raises(ConfigError):
         require_auth_for_bind("0.0.0.0", None)
+
+
+# ----------------------------------------------------------------------
+# Known bug: encoder memos ride the wire
+# ----------------------------------------------------------------------
+@pytest.mark.xfail(
+    strict=True,
+    reason="default pickling ships __dict__, so a received message carries the "
+    "sender's _canon_fragment_ memo and canonical_fragment trusts it: signature "
+    "checks read the memo, not the fields (ROADMAP, Known bugs)",
+)
+def test_signature_check_reads_the_fields_not_a_shipped_memo():
+    from repro.core.messages import OrderBatch, OrderEntry, countersign, sign_message
+    from repro.core.messages import verify_signed
+    from repro.crypto.dealer import TrustedDealer
+    from repro.crypto.schemes import scheme_by_name
+
+    def over_the_wire(obj):
+        a, b = _pair()
+        try:
+            send_msg(a, obj)
+            return recv_msg(b)
+        finally:
+            a.close()
+            b.close()
+
+    pair = ("p1", "p1'")
+    provider = TrustedDealer(
+        scheme_by_name("md5-rsa1024"), mode="simulated", seed=1
+    ).provision([*pair, "p2"])
+    entries = tuple(OrderEntry(seq, bytes([seq]) * 16, "c1", seq) for seq in (1, 2, 3))
+    order = countersign(
+        provider, pair[1], sign_message(provider, pair[0], OrderBatch(1, 1, entries))
+    )
+    received = over_the_wire(order)
+    assert verify_signed(provider, received, pair)
+    # A relay rewrites what is ordered and leaves the memo alone.
+    forged = tuple(OrderEntry(e.seq, b"\xff" * 16, e.client, e.req_id) for e in entries)
+    object.__setattr__(received.body, "entries", forged)
+    got = over_the_wire(received)
+    assert got.body.entries == forged
+    assert not verify_signed(provider, got, pair)

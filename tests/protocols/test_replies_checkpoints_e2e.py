@@ -4,7 +4,7 @@ import pytest
 
 from repro import ProtocolConfig, build_cluster, OpenLoopWorkload
 from repro.failures.faults import WrongDigestFault
-from tests.conftest import assert_total_order_among_correct
+from tests.conftest import assert_executed_once, assert_total_order_among_correct
 
 
 def run(protocol, config, duration=1.5, rate=120, drain=2.0, fault=None, seed=1):
@@ -113,3 +113,23 @@ def test_checkpoint_keeps_max_committed_proof_available():
     proof = p2.log.max_committed_proof()
     assert proof is not None
     assert proof.order.body.last_seq == p2.log.highest_committed
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("protocol", ["sc", "scr", "bft", "ct"])
+def test_checkpoints_keep_execution_exactly_once(protocol, seed):
+    """Truncation must not reopen exactly-once: a view change re-queues
+    what the pool holds minus what the log holds, so a request whose
+    slot was truncated while it stayed pooled would execute again (it
+    did, for scr and bft, until stable checkpoints pruned the pool).
+    Settings are those of the ``checkpoint_replies`` golden cases."""
+    import repro.protocols as protocols
+
+    config = protocols.get(protocol).default_config(
+        f=2, batching_interval=0.050, view_timeout=0.5,
+        checkpoint_interval=16, send_replies=True,
+    )
+    cluster, _ = run(protocol, config, duration=0.9, rate=100, drain=1.6, seed=seed)
+    assert cluster.sim.trace.of_kind("checkpoint_stable")
+    assert_executed_once(cluster)
+    assert_total_order_among_correct(cluster)
