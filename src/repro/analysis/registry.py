@@ -11,7 +11,6 @@ registers with :func:`register` and is immediately selectable from
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 from repro.analysis.base import Checker
 from repro.errors import AnalysisError
@@ -61,14 +60,3 @@ def names() -> tuple[str, ...]:
 def all_checkers() -> tuple[type[Checker], ...]:
     """Every registered checker class, in registration order."""
     return tuple(_REGISTRY.values())
-
-
-def validate_codes(selected: Iterable[str]) -> tuple[str, ...]:
-    """Check every code resolves and none repeats; returns the tuple."""
-    selected = tuple(selected)
-    duplicates = sorted({code for code in selected if selected.count(code) > 1})
-    if duplicates:
-        raise AnalysisError(f"checker selection repeats {duplicates}")
-    for code in selected:
-        get(code)
-    return selected

@@ -39,8 +39,8 @@ from repro.core.config import ProtocolConfig
 from repro.core.messages import OrderBatch, SignedMessage
 from repro.core.process import OrderProcessBase
 from repro.core.requests import ClientRequest
+from repro.crypto.canon import encode_canonical
 from repro.crypto.digests import digest
-from repro.crypto.encoding import canonical_bytes
 from repro.crypto.signing import SignatureProvider
 from repro.net.addresses import replica_name
 from repro.net.network import Network
@@ -211,7 +211,7 @@ class BftReplica(OrderProcessBase):
         return seq < self._exec_next and (view, seq) not in self.states
 
     def _batch_digest(self, batch: OrderBatch) -> bytes:
-        return digest(self.config.scheme.digest, canonical_bytes(batch))
+        return digest(self.config.scheme.digest, encode_canonical(batch))
 
     def _on_pre_prepare(self, sender: str, signed: SignedMessage) -> None:
         pre: PrePrepare = signed.body

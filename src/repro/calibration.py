@@ -84,10 +84,6 @@ class CalibrationProfile:
         """Sender-side CPU to serialise one message."""
         return self.marshal_base + self.marshal_per_kb * (size_bytes / 1024.0)
 
-    def unmarshal_cost(self, size_bytes: int) -> float:
-        """Receiver-side CPU to deserialise one message."""
-        return self.unmarshal_base + self.unmarshal_per_kb * (size_bytes / 1024.0)
-
 
 def paper_testbed() -> CalibrationProfile:
     """The default profile approximating the paper's cluster."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.messages import BackLog, CommitProof, OrderBatch, SignedMessage
-from repro.crypto.encoding import canonical_bytes
+from repro.crypto.canon import encode_canonical
 from repro.errors import ProtocolError
 
 
@@ -67,7 +67,7 @@ def _batch_of(signed: SignedMessage) -> OrderBatch:
 def _batch_key(signed: SignedMessage) -> bytes:
     """Identity of a batch's contents (for counting agreeing copies)."""
     batch = _batch_of(signed)
-    return canonical_bytes((batch.rank, [(e.seq, e.req_digest) for e in batch.entries]))
+    return encode_canonical((batch.rank, [(e.seq, e.req_digest) for e in batch.entries]))
 
 
 def compute_new_backlog(views: list[BacklogView], f: int) -> NewBacklogResult:

@@ -148,11 +148,6 @@ class OrderProcessBase(Actor):
         """Whether the process's fault plan says it has crashed."""
         return not self._fault_benign and self._fault.is_crashed(self.sim.now)
 
-    @property
-    def may_transmit(self) -> bool:
-        """Dumb or crashed processes do not put messages on the wire."""
-        return not self.dumb and not self.crashed
-
     # ------------------------------------------------------------------
     # Signing helpers (charge CPU at creation time)
     # ------------------------------------------------------------------
@@ -264,7 +259,8 @@ class OrderProcessBase(Actor):
             # The dominant message class (clients multicast to every
             # process): never urgent, never verified — every protocol's
             # verification_service returns 0.0 for it, so the two
-            # dispatch hops are skipped.  Inlined cal.unmarshal_cost.
+            # dispatch hops are skipped.  Cost: unmarshal_base +
+            # unmarshal_per_kb * KB, plus handle_base.
             return (
                 cal.unmarshal_base
                 + cal.unmarshal_per_kb * (size_bytes / 1024.0)

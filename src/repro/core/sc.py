@@ -74,8 +74,8 @@ from repro.core.pair import (
 from repro.core.process import INSTALL_CLIENT, OrderLogProcess
 from repro.core.requests import ClientRequest
 from repro.core.suspicion import ExpectationMonitor, OrderProductionWatch
+from repro.crypto.canon import encode_canonical
 from repro.crypto.digests import digest
-from repro.crypto.encoding import canonical_bytes
 from repro.crypto.signing import Signature, SignatureProvider
 from repro.errors import ProtocolError
 from repro.net.addresses import is_shadow, pair_of
@@ -95,7 +95,7 @@ def make_install_batch(
     start: Start = signed_start.body
     entry = OrderEntry(
         seq=start.start_seq,
-        req_digest=digest(digest_name, canonical_bytes(signed_start.body)),
+        req_digest=digest(digest_name, encode_canonical(signed_start.body)),
         client=INSTALL_CLIENT,
         req_id=start.new_rank,
     )
@@ -1059,7 +1059,7 @@ class ScProcess(OrderLogProcess):
                 expected = self._order_signers(batch)
                 if expected is None or not self.check_signed(signed, expected):
                     continue
-            key = canonical_bytes(
+            key = encode_canonical(
                 (batch.rank, [(e.seq, e.req_digest) for e in batch.entries])
             )
             bucket = self._catchup.setdefault(batch.first_seq, {})

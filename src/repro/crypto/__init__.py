@@ -1,15 +1,16 @@
-"""Cryptographic substrate, built from scratch.
+"""Cryptographic substrate.
 
 The paper's protocols lean on three cryptographic ingredients
 (Assumption 2): unforgeable signatures, collision-resistant digests and
-a trusted dealer that provisions keys.  This package implements all of
-them in pure Python:
+a trusted dealer that provisions keys.  This package provides them:
 
+* :mod:`~repro.crypto.canon` — the canonical byte encoding every
+  signature and digest covers;
+* :mod:`~repro.crypto.digests` — MD5 and SHA-1, the two digest
+  functions the paper evaluates, computed by ``hashlib`` (the
+  from-scratch MD5/SHA-1 are oracles in the test suite);
 * :mod:`~repro.crypto.numtheory` — Miller–Rabin, modular inverses,
   prime generation;
-* :mod:`~repro.crypto.md5` / :mod:`~repro.crypto.sha1` — the two digest
-  functions the paper evaluates, verified bit-for-bit against
-  ``hashlib`` in the test suite;
 * :mod:`~repro.crypto.rsa` / :mod:`~repro.crypto.dsa` — the two
   signature schemes (RSA-1024/1536, DSA-1024);
 * :mod:`~repro.crypto.signing` — the provider interface protocols use,
@@ -26,7 +27,6 @@ from repro.crypto.canon import encode_canonical
 from repro.crypto.costs import CryptoCostModel, OpCosts
 from repro.crypto.dealer import TrustedDealer
 from repro.crypto.digests import digest, digest_size
-from repro.crypto.encoding import canonical_bytes, reference_canonical_bytes
 from repro.crypto.schemes import (
     MD5_RSA_1024,
     MD5_RSA_1536,
@@ -55,10 +55,8 @@ __all__ = [
     "SignatureProvider",
     "SimulatedSignatureProvider",
     "TrustedDealer",
-    "canonical_bytes",
     "digest",
     "digest_size",
     "encode_canonical",
-    "reference_canonical_bytes",
     "scheme_by_name",
 ]

@@ -1,13 +1,30 @@
-"""Fast canonical encoder for signing and digesting.
+"""Canonical byte encoding for signing and digesting.
 
-Byte-identical to the reference encoding in :mod:`repro.crypto.encoding`
-(``json.dumps(_jsonable(value), sort_keys=True, separators=(",", ":"))``
-— which stays in that module as the oracle the property tests compare
-against).  Three ideas make this one fast:
+Signatures and digests must cover a deterministic byte string.
+:func:`encode_canonical` maps the message dataclasses (and plain
+containers) to a stable, injective-enough encoding, and this docstring
+is the one place its format is written down:
+
+* JSON text, ASCII only, with sorted keys and no whitespace
+  (``json.dumps(..., sort_keys=True, separators=(",", ":"))``);
+* a dataclass is an object of its fields plus ``"__dc__"``: its class
+  name;
+* a ``bytes`` value is ``{"__bytes__": "<hex>"}``;
+* lists and tuples are arrays; dict keys must be ``str`` or ``int``
+  (ints become their decimal string);
+* floats follow ``json.dumps(allow_nan=True)``: ``repr`` for finite
+  values, ``NaN`` / ``Infinity`` / ``-Infinity`` for the specials.
+
+Two structurally different messages therefore never encode equally,
+and the encoding of a message never changes across runs or platforms.
+The test suite keeps a slow recursive rendering of this format as the
+oracle the encoder is compared against, byte for byte.
+
+Three ideas make the encoder fast:
 
 * **single pass** — fragments are emitted straight into an output list
-  by an explicit work stack; there is no intermediate ``_jsonable``
-  tree and no recursion;
+  by an explicit work stack; there is no intermediate tree and no
+  recursion;
 * **per-class plans** — the sorted-key layout of a dataclass (the
   ``{"__dc__": ...`` skeleton) is computed once per class and replayed
   as precomputed literals;
@@ -232,7 +249,8 @@ def _encode_other(v: Any, out: list, push, frames) -> None:
             push((_LIT, literal))
         return
     # Subclasses of the builtin types take the reference's isinstance
-    # order (dataclasses handled above, matching ``_jsonable``).
+    # order: dataclasses first (above), then bytes, arrays, dicts, bool
+    # before int, then float and str.
     if isinstance(v, bytes):
         out.append('{"__bytes__":"' + v.hex() + '"}')
     elif isinstance(v, (list, tuple)):
@@ -256,10 +274,10 @@ def _encode_other(v: Any, out: list, push, frames) -> None:
 
 
 def encode_canonical(value: Any) -> bytes:
-    """Deterministic canonical bytes of ``value`` (the fast path).
+    """Deterministic canonical bytes of ``value`` (format: module docstring).
 
-    Byte-identical to the reference implementation in
-    :mod:`repro.crypto.encoding`; see that module for the format.
+    >>> encode_canonical({"b": 1, "a": 2})
+    b'{"a":2,"b":1}'
     """
     return canonical_fragment(value).encode("ascii")
 
@@ -277,61 +295,6 @@ def memoized_fragment(value: Any) -> str | None:
         return None
     fragment = d.get(_MEMO_ATTR)
     return fragment if type(fragment) is str else None
-
-
-# ----------------------------------------------------------------------
-# Fast-crypto identity tokens (cost-model-only mode)
-# ----------------------------------------------------------------------
-# When enabled (see ``repro.crypto.costs.fast_crypto``), signing and
-# digesting stop encoding real canonical bytes and instead use short
-# per-object *identity tokens*.  This is sound inside one simulation
-# because messages travel by reference: every process that digests or
-# verifies a value holds the same object, so token equality coincides
-# with the value equality that real digests certify — including the
-# *inequality* a WrongDigestFault's corrupted bytes must produce.  CPU
-# time is charged from the calibrated cost model either way, so
-# simulated metrics are unchanged; only harness wall time moves.
-
-#: Instance attribute carrying an object's fast-mode identity token.
-_TOKEN_ATTR = "_canon_token_"
-
-_fast_tokens = False
-_token_counter = 0
-
-
-def fast_tokens_enabled() -> bool:
-    """Whether identity tokens currently replace canonical bytes."""
-    return _fast_tokens
-
-
-def set_fast_tokens(enabled: bool) -> None:
-    """Flip fast-token mode (prefer ``repro.crypto.costs.fast_crypto``)."""
-    global _fast_tokens
-    _fast_tokens = bool(enabled)
-
-
-def identity_token(value: Any) -> bytes:
-    """The 8-byte token standing in for ``value``'s canonical bytes.
-
-    Minted on first use (a deterministic counter — simulations are
-    single-threaded, so assignment order is a pure function of the
-    seed) and pinned on the instance.  Objects that cannot carry the
-    attribute fall back to their real canonical bytes, which satisfies
-    the same contract: equal input object, equal output bytes.
-    """
-    global _token_counter
-    d = getattr(value, "__dict__", None)
-    if d is not None:
-        token = d.get(_TOKEN_ATTR)
-        if token is not None:
-            return token
-    _token_counter += 1
-    token = _token_counter.to_bytes(8, "big")
-    try:
-        object.__setattr__(value, _TOKEN_ATTR, token)
-    except (AttributeError, TypeError):
-        return canonical_fragment(value).encode("ascii")
-    return token
 
 
 def strip_memo(value: Any) -> None:

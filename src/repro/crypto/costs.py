@@ -23,41 +23,10 @@ studies can re-calibrate.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
-from repro.crypto import canon as _canon
 from repro.crypto.schemes import CryptoScheme
 from repro.errors import ConfigError
-
-
-def fast_crypto_enabled() -> bool:
-    """Whether cost-model-only ("fast crypto") mode is active."""
-    return _canon.fast_tokens_enabled()
-
-
-@contextmanager
-def fast_crypto(enabled: bool = True) -> Iterator[None]:
-    """Run a block in cost-model-only crypto mode (opt-in).
-
-    Inside the block, signing and digesting skip byte-level canonical
-    encoding and hashing in favour of per-object identity tokens (see
-    :mod:`repro.crypto.canon`).  CPU *costs* are still charged from
-    :class:`OpCosts` — the mode trades the harness's wall-clock work,
-    never the simulated timings — so metrics are identical whenever no
-    consumer reads actual digest/signature bytes.  Probes declare that
-    need via ``needs_digests``; the harness falls back to default mode
-    automatically when such a probe is selected.
-
-    The previous mode is restored on exit, so nesting is safe.
-    """
-    previous = _canon.fast_tokens_enabled()
-    _canon.set_fast_tokens(enabled)
-    try:
-        yield
-    finally:
-        _canon.set_fast_tokens(previous)
 
 
 @dataclass(frozen=True)

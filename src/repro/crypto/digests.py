@@ -7,29 +7,21 @@ only has to be bit-identical and fast — a profile of a representative
 sweep showed the from-scratch MD5 alone eating ~16% of harness wall
 time while contributing nothing to any simulated metric.
 
-The from-scratch implementations (:mod:`repro.crypto.md5`,
-:mod:`repro.crypto.sha1`) remain the *reference*: they are what a
-deployment without OpenSSL would run, the equivalence tests exercise
-them against hashlib bit for bit, and ``use_stdlib=False`` selects
-them explicitly.
+The test suite keeps from-scratch MD5 and SHA-1 as oracles and checks
+them against hashlib bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from repro.crypto.md5 import md5
-from repro.crypto.sha1 import sha1
 from repro.errors import CryptoError
 
 _SIZES = {"md5": 16, "sha1": 20, "none": 8}
 
 
-def digest(name: str, data: bytes, use_stdlib: bool = True) -> bytes:
+def digest(name: str, data: bytes) -> bytes:
     """Compute the named digest of ``data``.
-
-    ``use_stdlib=False`` forces the from-scratch implementations
-    (bit-identical, ~50x slower — the equivalence tests run both).
 
     ``"none"`` is the degenerate digest used by the crash-tolerant (CT)
     baseline, which the paper runs without cryptographic techniques: a
@@ -37,13 +29,9 @@ def digest(name: str, data: bytes, use_stdlib: bool = True) -> bytes:
     match requests to orders.
     """
     if name == "md5":
-        if use_stdlib:
-            return hashlib.md5(data).digest()
-        return md5(data)
+        return hashlib.md5(data).digest()
     if name == "sha1":
-        if use_stdlib:
-            return hashlib.sha1(data).digest()
-        return sha1(data)
+        return hashlib.sha1(data).digest()
     if name == "none":
         # Non-cryptographic: good enough to identify requests among
         # non-malicious peers, which is all CT assumes.

@@ -13,9 +13,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
-from repro.crypto import canon as _canon
-from repro.crypto.canon import identity_token, memoized_fragment
-from repro.crypto.encoding import canonical_bytes
+from repro.crypto.canon import encode_canonical, memoized_fragment
 from repro.crypto.signing import Signature, SignatureProvider
 from repro.errors import VerificationError
 
@@ -37,7 +35,7 @@ class SignedMessage:
 
 
 def _signing_bytes_uncached(body: Any, prior: tuple[Signature, ...]) -> bytes:
-    return canonical_bytes(
+    return encode_canonical(
         {"body": body, "prior": [(s.signer, s.value) for s in prior]}
     )
 
@@ -63,17 +61,7 @@ def signing_cache_size() -> int:
 
 
 def signing_bytes(body: Any, prior: tuple[Signature, ...]) -> bytes:
-    """Canonical bytes covered by the next signature over ``body``.
-
-    In fast-crypto mode (``repro.crypto.costs.fast_crypto``) the
-    canonical encoding is replaced by identity tokens; sign and verify
-    both come through here, so chains still verify — and forgeries
-    still fail — exactly as with real bytes.
-    """
-    if _canon._fast_tokens:
-        if prior:
-            return identity_token(body) + b"".join(identity_token(s) for s in prior)
-        return identity_token(body)
+    """Canonical bytes covered by the next signature over ``body``."""
     key = (id(body), *(id(s) for s in prior))
     entry = _signing_cache.get(key)
     if entry is not None:

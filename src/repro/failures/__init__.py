@@ -12,7 +12,6 @@ from repro.failures.faults import (
     CrashFault,
     EquivocationFault,
     FaultPlan,
-    ForgeSignatureFault,
     MutateEndorsementFault,
     WithholdOrdersFault,
     WrongDigestFault,
@@ -24,7 +23,6 @@ __all__ = [
     "EquivocationFault",
     "FaultInjector",
     "FaultPlan",
-    "ForgeSignatureFault",
     "MutateEndorsementFault",
     "WithholdOrdersFault",
     "WrongDigestFault",

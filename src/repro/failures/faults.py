@@ -49,10 +49,6 @@ class FaultPlan:
         """True if the coordinator proposes conflicting orders."""
         return False
 
-    def forges(self, now: float) -> bool:
-        """True if the process attempts signature forgery."""
-        return False
-
     def mutates_endorsement(self, now: float) -> bool:
         """True if a shadow alters an order before endorsing it."""
         return False
@@ -96,16 +92,6 @@ class EquivocationFault(FaultPlan):
     replica subsets)."""
 
     def equivocates(self, now: float) -> bool:
-        return self.active(now)
-
-
-@dataclass
-class ForgeSignatureFault(FaultPlan):
-    """The process emits messages carrying forged signatures of a victim."""
-
-    victim: str = ""
-
-    def forges(self, now: float) -> bool:
         return self.active(now)
 
 

@@ -18,7 +18,6 @@ from repro.failures.faults import (
     DelaySurgeFault,
     EquivocationFault,
     FaultPlan,
-    ForgeSignatureFault,
     MutateEndorsementFault,
     WithholdOrdersFault,
     WrongDigestFault,
@@ -35,7 +34,6 @@ FAULT_KINDS: dict[str, type[FaultPlan]] = {
     "wrong_digest": WrongDigestFault,
     "withhold_orders": WithholdOrdersFault,
     "equivocate": EquivocationFault,
-    "forge_signature": ForgeSignatureFault,
     "mutate_endorsement": MutateEndorsementFault,
     "delay_surge": DelaySurgeFault,
 }

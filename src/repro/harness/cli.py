@@ -20,6 +20,7 @@ import sys
 
 import repro.harness.probes as probe_registry
 import repro.protocols as protocols
+from repro.core.config import ProtocolConfig
 from repro.errors import ConfigError, ReproError
 from repro.harness import exec as exec_backends
 from repro.harness.artifact import (
@@ -84,16 +85,13 @@ def _sweep_params(args, figure: str, executor: str) -> dict:
     }
     if args.probes:
         params["probes"] = list(_parse_probes(args.probes))
-    if args.fast_crypto:
-        params["fast_crypto"] = True
     return params
 
 
 def _cmd_figure(args) -> int:
     figure = args.command
     tasks = figure_tasks(figure, args.quick, args.seed,
-                         probes=_parse_probes(args.probes),
-                         fast_crypto=args.fast_crypto)
+                         probes=_parse_probes(args.probes))
     watch = Stopwatch()
     results, executor = _execute(
         args, tasks, print_progress if args.progress else None
@@ -126,8 +124,7 @@ def _cmd_suite(args) -> int:
 
     probes = _parse_probes(args.probes)
     grids = {
-        figure: figure_tasks(figure, args.quick, args.seed, probes=probes,
-                             fast_crypto=args.fast_crypto)
+        figure: figure_tasks(figure, args.quick, args.seed, probes=probes)
         for figure in figures
     }
     # Figures sharing identical sweep points (fig4/fig5 measure the
@@ -272,8 +269,7 @@ def _cmd_probes(args) -> int:
 
 
 def _cmd_protocols(args) -> int:
-    if args.f < 1:
-        raise ConfigError(f"f must be >= 1, got {args.f}")
+    ProtocolConfig(f=args.f)  # refuses f < 1, as every run does
     rows = [
         (
             plugin.name,
@@ -314,12 +310,6 @@ def _add_sweep_options(parser, json_dir_default=None) -> None:
                         help="checkpoint journal: finished points are "
                              "appended here as they complete, and points "
                              "already journaled are not re-run")
-    parser.add_argument("--fast-crypto", action="store_true",
-                        dest="fast_crypto",
-                        help="cost-model-only crypto: skip byte-level "
-                             "encoding/digesting (simulated metrics are "
-                             "identical; auto-falls back when a selected "
-                             "probe needs digest bytes)")
     parser.add_argument("--probes", default=None, metavar="P1,P2",
                         help="probe selection for every point (default: "
                              "each experiment's paper probes; see "

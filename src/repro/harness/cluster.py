@@ -28,13 +28,6 @@ from repro.protocols import Deployment, OrderProtocol
 from repro.sim.kernel import Simulator
 
 
-def __getattr__(name: str):
-    # Back-compat: the old hard-coded tuple is now the registry's view.
-    if name == "PROTOCOLS":
-        return protocols.names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass
 class Cluster:
     """A fully wired simulated deployment."""
@@ -77,10 +70,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # Cross-replica inspection helpers (used by tests and examples)
     # ------------------------------------------------------------------
-    def machines(self) -> dict[str, object]:
-        """The replicated state machines, by process name."""
-        return {name: proc.machine for name, proc in self.processes.items()}
-
     def committed_histories(self) -> dict[str, list[tuple[int, bytes]]]:
         """Execution history (seq, digest) per process."""
         return {

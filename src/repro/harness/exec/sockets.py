@@ -91,13 +91,6 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: Exit status of the ``REPRO_EXEC_CRASH`` test hook.
 _CRASH_EXIT = 17
 
-# The framing lived here before it was shared with the live transport
-# (:mod:`repro.net.framing`); these aliases keep the old import paths
-# working.
-_LEN = framing.LEN
-_recv_exact = framing.recv_exact
-WorkerLost = framing.PeerLost
-
 
 # ----------------------------------------------------------------------
 # Worker side (`python -m repro worker --connect host:port`)
@@ -133,7 +126,7 @@ def worker_loop(host: str, port: int, auth_key: bytes | None = None) -> int:
         while True:
             try:
                 msg = recv_msg(sock)
-            except WorkerLost:
+            except framing.PeerLost:
                 return 0  # coordinator went away: nothing left to do
             if msg[0] == "stop":
                 return 0
@@ -404,7 +397,7 @@ class SocketExecutor(Executor):
                 # A peer with the wrong key is not one of our workers:
                 # drop it without touching the fleet accounting.
                 return
-            except (WorkerLost, OSError):
+            except (framing.PeerLost, OSError):
                 # Vanished before the handshake: nothing in flight to
                 # reschedule, but keep the fleet at strength.
                 self._worker_lost(None)
@@ -424,7 +417,7 @@ class SocketExecutor(Executor):
                 try:
                     send_msg(conn, ("task", index, attempt, self._tasks[index]))
                     _, r_index, ok, payload = recv_msg(conn)
-                except (WorkerLost, OSError):
+                except (framing.PeerLost, OSError):
                     self._worker_lost(in_flight)
                     return
                 in_flight = None

@@ -29,7 +29,6 @@ import repro.protocols as protocols
 from repro.calibration import CalibrationProfile
 from repro.core.config import ProtocolConfig
 from repro.core.messages import Ack, SignedMessage
-from repro.crypto.costs import fast_crypto as _fast_crypto_mode
 from repro.errors import ConfigError
 from repro.failures.faults import WrongDigestFault
 from repro.harness.cluster import Cluster, build_cluster
@@ -107,7 +106,6 @@ def run_order_experiment(
     warmup_batches: int = 15,
     calibration: CalibrationProfile | None = None,
     probes: tuple[str, ...] | None = None,
-    fast_crypto: bool = False,
 ) -> ProbeReport:
     """Measure one order sweep point through the selected probes.
 
@@ -116,10 +114,7 @@ def run_order_experiment(
     full), and each point aggregates ``n_batches`` measured batches
     after warm-up — the paper averages 100 experimental results.
     ``probes`` names registered probes (default: the paper's
-    latency and throughput measurements).  ``fast_crypto=True``
-    requests cost-model-only crypto (:func:`repro.crypto.costs.
-    fast_crypto`); the run falls back to real byte-level crypto
-    automatically when a selected probe declares ``needs_digests``.
+    latency and throughput measurements).
     """
     plugin = protocols.get(protocol)
     selected = probe_registry.validate_names(
@@ -148,17 +143,12 @@ def run_order_experiment(
         min_samples=MIN_ORDER_SAMPLES,
         label=f"{protocol}/{scheme_name}@{batching_interval}",
     )
-    use_fast = fast_crypto and not probe_registry.any_needs_digests(selected)
-    # The fast-crypto context covers cluster *construction* too: the
-    # dealer signs fail-signal blanks at build time, and verification
-    # during the run must see the same byte representation it signed.
-    with _fast_crypto_mode(use_fast):
-        wired = wire_run(config, context, selected, calibration)
-        OpenLoopWorkload(wired.cluster, rate=rate, duration=duration).install()
-        # Allow commits of late batches to drain: saturated runs (the
-        # figures' blow-up regions) lag far behind the arrival window.
-        wired.run(until=duration + max(2.0, 60 * batching_interval))
-        return wired.report()
+    wired = wire_run(config, context, selected, calibration)
+    OpenLoopWorkload(wired.cluster, rate=rate, duration=duration).install()
+    # Allow commits of late batches to drain: saturated runs (the
+    # figures' blow-up regions) lag far behind the arrival window.
+    wired.run(until=duration + max(2.0, 60 * batching_interval))
+    return wired.report()
 
 
 def _is_ack(envelope: Envelope) -> bool:
@@ -176,7 +166,6 @@ def run_failover_experiment(
     batching_interval: float = 0.250,
     calibration: CalibrationProfile | None = None,
     probes: tuple[str, ...] | None = None,
-    fast_crypto: bool = False,
 ) -> ProbeReport:
     """Measure fail-over latency with a controlled BackLog size.
 
@@ -185,9 +174,7 @@ def run_failover_experiment(
     accumulate acked-but-uncommitted; a value-domain fault is then
     injected at the coordinator replica, whose shadow detects it and
     fail-signals.  BackLogs therefore carry ``backlog_batches`` KB of
-    uncommitted orders — the paper's 1..5 KB x-axis.  ``fast_crypto``
-    behaves as in :func:`run_order_experiment` (auto-fallback when a
-    selected probe needs digest bytes).
+    uncommitted orders — the paper's 1..5 KB x-axis.
     """
     plugin = protocols.get(protocol)
     if not plugin.supports_failover:
@@ -219,24 +206,22 @@ def run_failover_experiment(
         min_samples=1,
         label=f"{protocol}/{scheme_name} backlog={backlog_batches}",
     )
-    use_fast = fast_crypto and not probe_registry.any_needs_digests(selected)
-    with _fast_crypto_mode(use_fast):
-        wired = wire_run(config, context, selected, calibration)
-        cluster = wired.cluster
-        OpenLoopWorkload(cluster, rate=rate, duration=duration).install()
-        cluster.sim.schedule_at(hold_at, cluster.network.hold_matching, _is_ack)
-        # Release the held acks once the fail-over measurement endpoint
-        # has passed (releasing at the fail-signal instead would let the
-        # ack burst race the BackLog exchange, committing the very
-        # orders whose recovery fig. 6 measures).  The network stays
-        # reliable: every held ack is still delivered, merely late.  A
-        # kind-scoped subscription fires whether or not any probe
-        # retains the record.
-        cluster.sim.trace.subscribe(
-            lambda record: cluster.network.release_held(),
-            kinds=("failover_complete",),
-        )
-        coordinator = cluster.process(plugin.initial_coordinator(config))
-        cluster.injector.inject(coordinator, WrongDigestFault(active_from=fault_at))
-        wired.run(until=duration + 4.0)
-        return wired.report()
+    wired = wire_run(config, context, selected, calibration)
+    cluster = wired.cluster
+    OpenLoopWorkload(cluster, rate=rate, duration=duration).install()
+    cluster.sim.schedule_at(hold_at, cluster.network.hold_matching, _is_ack)
+    # Release the held acks once the fail-over measurement endpoint
+    # has passed (releasing at the fail-signal instead would let the
+    # ack burst race the BackLog exchange, committing the very
+    # orders whose recovery fig. 6 measures).  The network stays
+    # reliable: every held ack is still delivered, merely late.  A
+    # kind-scoped subscription fires whether or not any probe
+    # retains the record.
+    cluster.sim.trace.subscribe(
+        lambda record: cluster.network.release_held(),
+        kinds=("failover_complete",),
+    )
+    coordinator = cluster.process(plugin.initial_coordinator(config))
+    cluster.injector.inject(coordinator, WrongDigestFault(active_from=fault_at))
+    wired.run(until=duration + 4.0)
+    return wired.report()

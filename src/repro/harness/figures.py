@@ -55,9 +55,9 @@ F3POP_PROBES = ("client-fairness", "queue-depth", "crypto-cost")
 
 
 # ----------------------------------------------------------------------
-# Grid builders: (quick, seed, probes, fast_crypto) -> tasks
+# Grid builders: (quick, seed, probes) -> tasks
 # ----------------------------------------------------------------------
-def _order_tasks(quick, seed, probes, fast_crypto) -> list[SweepTask]:
+def _order_tasks(quick, seed, probes) -> list[SweepTask]:
     return order_grid(
         ORDER_PROTOCOLS,
         ("md5-rsa1024",) if quick else PAPER_SCHEME_NAMES,
@@ -65,22 +65,20 @@ def _order_tasks(quick, seed, probes, fast_crypto) -> list[SweepTask]:
         seed=seed,
         n_batches=30 if quick else 100,
         probes=probes,
-        fast_crypto=fast_crypto,
     )
 
 
-def _failover_tasks(quick, seed, probes, fast_crypto) -> list[SweepTask]:
+def _failover_tasks(quick, seed, probes) -> list[SweepTask]:
     return failover_grid(
         FAILOVER_PROTOCOLS,
         ("md5-rsa1024",) if quick else PAPER_SCHEME_NAMES,
         QUICK_BACKLOG_BATCHES if quick else BACKLOG_BATCHES,
         seed=seed,
         probes=probes,
-        fast_crypto=fast_crypto,
     )
 
 
-def _f3_tasks(quick, seed, probes, fast_crypto) -> list[SweepTask]:
+def _f3_tasks(quick, seed, probes) -> list[SweepTask]:
     return f3_grid(
         F3_PROTOCOLS,
         ("md5-rsa1024",),
@@ -88,7 +86,6 @@ def _f3_tasks(quick, seed, probes, fast_crypto) -> list[SweepTask]:
         seed=seed,
         n_batches=20 if quick else 60,
         probes=probes,
-        fast_crypto=fast_crypto,
     )
 
 
@@ -124,18 +121,13 @@ def f3pop_grid(clients_list, seed: int = 1, quick: bool = False) -> list[SweepTa
     ]
 
 
-def _f3pop_tasks(quick, seed, probes, fast_crypto) -> list[SweepTask]:
-    # f3pop points are scenarios: probe selection and crypto mode live
-    # on the ScenarioSpec, not the task.
+def _f3pop_tasks(quick, seed, probes) -> list[SweepTask]:
+    # f3pop points are scenarios: probe selection lives on the
+    # ScenarioSpec, not the task.
     if probes is not None:
         raise ConfigError(
             "f3pop points are scenarios with a fixed probe set "
             f"({', '.join(F3POP_PROBES)}); --probes does not apply"
-        )
-    if fast_crypto:
-        raise ConfigError(
-            "f3pop points are scenarios; scenario tasks do not "
-            "support --fast-crypto"
         )
     return f3pop_grid(
         QUICK_F3POP_CLIENTS if quick else F3POP_CLIENTS, seed=seed, quick=quick
@@ -238,7 +230,7 @@ def _render_f3pop(results: list[PointResult]) -> None:
 class Figure:
     """How one figure is regenerated."""
 
-    #: ``(quick, seed, probes, fast_crypto) -> tasks``; ``probes=None``
+    #: ``(quick, seed, probes) -> tasks``; ``probes=None``
     #: keeps each experiment's paper defaults.
     grid: Callable[..., list[SweepTask]]
     #: Metrics the renderer reads.  A ``--probes`` selection must
@@ -264,14 +256,13 @@ FIGURES: dict[str, Figure] = {
 }
 
 
-def figure_tasks(figure: str, quick: bool, seed: int, probes=None,
-                 fast_crypto: bool = False) -> list[SweepTask]:
+def figure_tasks(figure: str, quick: bool, seed: int,
+                 probes=None) -> list[SweepTask]:
     """The task grid one figure regenerates (quick or full shape).
 
     ``probes`` overrides every point's probe selection (``None`` keeps
     each experiment's paper defaults) and must measure what the figure
-    renders; ``fast_crypto`` requests cost-model-only crypto for every
-    point."""
+    renders."""
     entry = FIGURES[figure]
     if probes is not None:
         provided = {
@@ -286,4 +277,4 @@ def figure_tasks(figure: str, quick: bool, seed: int, probes=None,
                 f"which {figure} renders; `repro probes` shows what each "
                 f"probe provides"
             )
-    return entry.grid(quick, seed, probes, fast_crypto)
+    return entry.grid(quick, seed, probes)

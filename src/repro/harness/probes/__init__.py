@@ -35,7 +35,6 @@ from repro.harness.probes.feed import (
     replay_records,
 )
 from repro.harness.probes.registry import (
-    any_needs_digests,
     all_probes,
     create_all,
     get,
@@ -62,7 +61,6 @@ from repro.harness.probes.scale import (
 )
 
 __all__ = [
-    "any_needs_digests",
     "ClientFairnessProbe",
     "CryptoCostProbe",
     "FailoverProbe",

@@ -93,12 +93,6 @@ class Probe(ABC):
     #: Gate direction per emitted metric: ``"lower"``/``"higher"``
     #: (metrics absent here are informational, never gated).
     directions: Mapping[str, str] = {}
-    #: True when the probe reads actual digest or signature *bytes*
-    #: (from trace records or message bodies) rather than just costs
-    #: and timings.  Selecting such a probe makes the harness fall back
-    #: from fast-crypto mode to real byte-level encoding for the run;
-    #: the paper's probes all measure timings, so the default is False.
-    needs_digests: bool = False
     #: True when the probe is a scale-only measurement whose kinds are
     #: emitted on per-event hot paths (per request, per batch tick, per
     #: crypto op).  Emitters of such kinds must guard with

@@ -90,12 +90,6 @@ def kinds_union(selected: Iterable[str]) -> frozenset[str]:
     return frozenset(kinds)
 
 
-def any_needs_digests(selected: Iterable[str]) -> bool:
-    """Whether any named probe declares it reads digest/signature bytes
-    (``Probe.needs_digests``) — the fast-crypto fallback condition."""
-    return any(get(name).needs_digests for name in selected)
-
-
 def metric_direction(metric: str) -> str | None:
     """Gate direction for a metric name, consulting probe declarations.
 

@@ -83,10 +83,6 @@ class SweepTask:
     #: Probe selection for the experiment (``None`` = the experiment's
     #: paper defaults).  Scenario tasks select probes on their spec.
     probes: tuple[str, ...] | None = None
-    #: Cost-model-only crypto (:func:`repro.crypto.costs.fast_crypto`).
-    #: Opt-in; the experiment still falls back to real byte-level
-    #: crypto when a selected probe declares ``needs_digests``.
-    fast_crypto: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in (ORDER, FAILOVER, SCENARIO):
@@ -97,11 +93,6 @@ class SweepTask:
             raise ConfigError("failover tasks need backlog_batches")
         if self.kind == SCENARIO and self.scenario is None:
             raise ConfigError("scenario tasks need a ScenarioSpec")
-        if self.fast_crypto and self.kind == SCENARIO:
-            raise ConfigError(
-                "scenario tasks do not support fast_crypto (scenarios "
-                "may read digest bytes through arbitrary fault hooks)"
-            )
         if self.calibration not in CALIBRATION_PROFILES:
             raise ConfigError(f"unknown calibration profile {self.calibration!r}")
         if self.probes is not None:
@@ -173,12 +164,6 @@ class SweepTask:
         # stable.
         if self.probes is not None:
             parts.append("p:" + "+".join(self.probes))
-        # Fast-crypto points carry a marker for the same reason: the
-        # measured metrics are designed to be identical, but the run
-        # mode is an experimental condition worth distinguishing in
-        # artifacts, and the default (False) keeps historical ids.
-        if self.fast_crypto:
-            parts.append("fastcrypto")
         return "/".join(parts)
 
 
@@ -233,7 +218,6 @@ def run_task(task: SweepTask) -> PointResult:
             warmup_batches=task.warmup_batches,
             calibration=resolve_calibration(task.calibration),
             probes=task.probes,
-            fast_crypto=task.fast_crypto,
         )
     else:
         result = experiments.run_failover_experiment(
@@ -247,7 +231,6 @@ def run_task(task: SweepTask) -> PointResult:
             ),
             calibration=resolve_calibration(task.calibration),
             probes=task.probes,
-            fast_crypto=task.fast_crypto,
         )
     return PointResult(task=task, result=result, wall_time=watch.elapsed)
 
@@ -361,7 +344,6 @@ def order_grid(
     warmup_batches: int = 15,
     calibration: str = "paper",
     probes: tuple[str, ...] | None = None,
-    fast_crypto: bool = False,
 ) -> list[SweepTask]:
     """The (scheme × protocol × interval) grid of Figures 4/5."""
     return [
@@ -376,7 +358,6 @@ def order_grid(
             warmup_batches=warmup_batches,
             calibration=calibration,
             probes=probes,
-            fast_crypto=fast_crypto,
         )
         for scheme in schemes
         for protocol in protocols
@@ -394,7 +375,6 @@ def f3_grid(
     warmup_batches: int = 15,
     calibration: str = "paper",
     probes: tuple[str, ...] | None = None,
-    fast_crypto: bool = False,
 ) -> list[SweepTask]:
     """The (f × scheme × protocol × interval) grid of the Section 5
     f = 3 comparison: :func:`order_grid` repeated per ``f``."""
@@ -405,7 +385,7 @@ def f3_grid(
             protocols, schemes, intervals,
             f=f, seed=seed, n_batches=n_batches,
             warmup_batches=warmup_batches, calibration=calibration,
-            probes=probes, fast_crypto=fast_crypto,
+            probes=probes,
         )
     ]
 
@@ -419,7 +399,6 @@ def failover_grid(
     batching_interval: float = 0.250,
     calibration: str = "paper",
     probes: tuple[str, ...] | None = None,
-    fast_crypto: bool = False,
 ) -> list[SweepTask]:
     """The (scheme × protocol × backlog) grid of Figure 6."""
     return [
@@ -433,7 +412,6 @@ def failover_grid(
             backlog_batches=backlog,
             calibration=calibration,
             probes=probes,
-            fast_crypto=fast_crypto,
         )
         for scheme in schemes
         for protocol in protocols

@@ -24,7 +24,7 @@ def wall_clock() -> float:
 
 
 class Stopwatch:
-    """Elapsed wall time since construction (or the last ``restart``).
+    """Elapsed wall time since construction.
 
     The one idiom the harness needs: start before the work, read
     ``elapsed`` after it, report the difference as telemetry.
@@ -33,9 +33,6 @@ class Stopwatch:
     __slots__ = ("_started",)
 
     def __init__(self) -> None:
-        self._started = wall_clock()
-
-    def restart(self) -> None:
         self._started = wall_clock()
 
     @property

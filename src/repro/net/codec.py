@@ -9,7 +9,7 @@ encoded lengths.  It is also what a socket-backed transport would use.
 
 Format: JSON with two tag conventions — dataclasses as
 ``{"__dc__": ClassName, ...fields}`` and bytes as ``{"__bytes__": hex}``
-— mirroring :mod:`repro.crypto.encoding`'s canonical form, plus a
+— mirroring :mod:`repro.crypto.canon`'s canonical form, plus a
 decode direction.  Decoding only instantiates classes from an explicit
 registry (no arbitrary class lookup), and JSON arrays decode to tuples
 because every repeated field in the protocol is a tuple.

@@ -121,34 +121,6 @@ class SurgeableDelay(DelayModel):
         return self.inner.sample(size_bytes, rng, now) * self.surge_factor_at(now)
 
 
-class DrawStream:
-    """Chunked, lazily-refilled uniform draws from one generator.
-
-    ``next()`` returns exactly the sequence ``rng.random()`` would —
-    the chunk is only a prefetch buffer, refilled on demand — so any
-    consumer switching from per-call draws to a stream keeps its draw
-    sequence bit-identical.
-    """
-
-    __slots__ = ("_random", "_buf", "_i")
-
-    def __init__(self, rng: random.Random) -> None:
-        self._random = rng.random
-        self._buf: list[float] = []
-        self._i = 0
-
-    def next(self) -> float:
-        """The next uniform [0, 1) draw."""
-        i = self._i
-        buf = self._buf
-        if i >= len(buf):
-            random_ = self._random
-            self._buf = buf = [random_() for _ in range(_CHUNK)]
-            i = 0
-        self._i = i + 1
-        return buf[i]
-
-
 class LinkDelayStream:
     """A resolved ``(src, dst)`` link: one-call delay sampling.
 

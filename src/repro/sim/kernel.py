@@ -188,7 +188,3 @@ class Simulator:
         finally:
             self.events_processed += fired
             self._running = False
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        """Drain every pending event (bounded by ``max_events``)."""
-        self.run(until=None, max_events=max_events)

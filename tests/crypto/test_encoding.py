@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.crypto.encoding import canonical_bytes
+from repro.crypto.canon import encode_canonical
 from repro.errors import CryptoError
 
 
@@ -15,28 +15,28 @@ class Point:
 
 
 def test_dict_keys_sorted():
-    assert canonical_bytes({"b": 1, "a": 2}) == b'{"a":2,"b":1}'
+    assert encode_canonical({"b": 1, "a": 2}) == b'{"a":2,"b":1}'
 
 
 def test_dataclass_tagged_with_class_name():
-    encoded = canonical_bytes(Point(1, 2)).decode()
+    encoded = encode_canonical(Point(1, 2)).decode()
     assert '"__dc__":"Point"' in encoded
     assert '"x":1' in encoded
 
 
 def test_bytes_hex_tagged():
-    encoded = canonical_bytes(b"\x00\xff").decode()
+    encoded = encode_canonical(b"\x00\xff").decode()
     assert '"__bytes__":"00ff"' in encoded
 
 
 def test_bytes_and_string_distinct():
-    assert canonical_bytes(b"ab") != canonical_bytes("ab")
+    assert encode_canonical(b"ab") != encode_canonical("ab")
 
 
 def test_nested_containers():
     value = {"list": [1, (2, 3)], "none": None, "flag": True}
-    encoded = canonical_bytes(value)
-    assert encoded == canonical_bytes(value)  # stable
+    encoded = encode_canonical(value)
+    assert encoded == encode_canonical(value)  # stable
 
 
 def test_different_dataclasses_with_same_fields_differ():
@@ -45,18 +45,18 @@ def test_different_dataclasses_with_same_fields_differ():
         x: int
         y: int
 
-    assert canonical_bytes(Point(1, 2)) != canonical_bytes(Other(1, 2))
+    assert encode_canonical(Point(1, 2)) != encode_canonical(Other(1, 2))
 
 
 def test_unencodable_value_rejected():
     with pytest.raises(CryptoError):
-        canonical_bytes(object())
+        encode_canonical(object())
 
 
 def test_unencodable_dict_key_rejected():
     with pytest.raises(CryptoError):
-        canonical_bytes({(1, 2): "tuple key"})
+        encode_canonical({(1, 2): "tuple key"})
 
 
 def test_int_keys_stringified():
-    assert canonical_bytes({1: "a"}) == b'{"1":"a"}'
+    assert encode_canonical({1: "a"}) == b'{"1":"a"}'

@@ -23,8 +23,7 @@ HELP_SNAPSHOT = Path(__file__).parent / "data" / "cli_help.txt"
 @pytest.fixture
 def fast_runners(monkeypatch):
     def fake_order(protocol, scheme, interval, f=2, seed=1, n_batches=100,
-                   warmup_batches=15, calibration=None, probes=None,
-                   fast_crypto=False):
+                   warmup_batches=15, calibration=None, probes=None):
         base = {"ct": 0.010, "sc": 0.040, "bft": 0.050}[protocol]
         return ProbeReport(
             protocol=protocol, scheme=scheme, f=f,
@@ -39,8 +38,7 @@ def fast_runners(monkeypatch):
         )
 
     def fake_failover(protocol, scheme, backlog_batches, f=2, seed=1,
-                      batching_interval=0.25, calibration=None, probes=None,
-                      fast_crypto=False):
+                      batching_interval=0.25, calibration=None, probes=None):
         return ProbeReport(
             protocol=protocol, scheme=scheme, f=f,
             probes=DEFAULT_FAILOVER_PROBES if probes is None else tuple(probes),

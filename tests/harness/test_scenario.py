@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError
+from repro.failures.injector import fault_kinds
 from repro.harness.cli import main
 from repro.harness.runner import SCENARIO, execute, scenario_grid
 from repro.harness.scenario import (
@@ -219,6 +220,30 @@ def test_scenario_bursts_add_load():
     calm = run_scenario(TINY)
     spiky = run_scenario(burst)
     assert spiky.requests_issued > calm.requests_issued
+
+
+_FAULT_BASE = ScenarioSpec(name="fault-kind", protocol="sc", f=2, duration=2.0, seed=1)
+
+
+def _fault_spec(kind: str) -> FaultSpec:
+    if kind == "mutate_endorsement":
+        return FaultSpec(kind=kind, target="p1'", at=1.0)
+    if kind == "delay_surge":
+        return FaultSpec(kind=kind, target="pair:1", at=1.0, until=1.5, factor=10.0)
+    return FaultSpec(kind=kind, target="coordinator", at=1.0)
+
+
+@pytest.mark.parametrize("kind", fault_kinds())
+def test_every_fault_kind_changes_the_run(kind):
+    """A fault kind a scenario can name must do something: a kind no
+    step logic reads would silently measure the fault-free run.  A
+    delay surge moves the metrics but not the event count, so the two
+    are compared together."""
+    clean = run_scenario(_FAULT_BASE)
+    faulty = run_scenario(_FAULT_BASE.with_(faults=(_fault_spec(kind),)))
+    assert (faulty.events_processed, faulty.metrics()) != (
+        clean.events_processed, clean.metrics()
+    )
 
 
 def test_scenario_bad_fault_target():

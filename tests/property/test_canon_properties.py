@@ -1,7 +1,7 @@
 """Property tests for the fast canonical encoder.
 
 :mod:`repro.crypto.canon` must be byte-identical to the reference
-``_jsonable`` construction (kept in :mod:`repro.crypto.encoding` as the
+``_jsonable`` construction (kept in ``tests/crypto/oracle.py`` as the
 oracle) for **every registered message class** — including nested
 ``SignedMessage`` chains, ``bytes`` fields and tuple fields — and its
 per-object memo must be a pure accelerator: structurally equal but
@@ -47,11 +47,11 @@ from repro.core.replies import Reply
 from repro.core.requests import ClientRequest
 from repro.crypto.canon import encode_canonical, strip_memo
 from repro.crypto.dealer import FailSignalBody, TrustedDealer
-from repro.crypto.encoding import canonical_bytes, reference_canonical_bytes
 from repro.crypto.schemes import MD5_RSA_1024
 from repro.crypto.signed import countersign, sign_message
 from repro.crypto.signing import SimulatedSignatureProvider
 from repro.net.codec import registry
+from tests.crypto.oracle import reference_canonical_bytes
 
 provider = SimulatedSignatureProvider(MD5_RSA_1024, ["p1", "p1'", "p2", "p2'"])
 
@@ -101,14 +101,14 @@ def commit_proofs(draw):
 
 
 def assert_matches_reference(value):
-    fast = canonical_bytes(value)
+    fast = encode_canonical(value)
     assert fast == reference_canonical_bytes(value)
     # Second encoding (memo now warm) must not change a byte.
-    assert canonical_bytes(value) == fast
+    assert encode_canonical(value) == fast
     # Nor must the no-memo encoder the perf ledger's cold row times
     # (a deepcopy would carry the memos along).
     strip_memo(value)
-    assert canonical_bytes(value) == fast
+    assert encode_canonical(value) == fast
 
 
 @given(signed_batches())
@@ -263,9 +263,9 @@ def test_structurally_equal_distinct_objects_encode_identically():
     """Cache correctness: the memo is keyed on identity, so a warm
     original and a cold structural twin must yield the same bytes."""
     for obj in sample_instances():
-        warm = canonical_bytes(obj)         # memoises on `obj`
+        warm = encode_canonical(obj)        # memoises on `obj`
         twin = copy.deepcopy(obj)           # distinct identity, equal value
-        assert canonical_bytes(twin) == warm == canonical_bytes(obj)
+        assert encode_canonical(twin) == warm == encode_canonical(obj)
 
 
 def test_memo_never_caches_through_mutable_fields():
@@ -277,13 +277,8 @@ def test_memo_never_caches_through_mutable_fields():
         items: list
 
     holder = Holder(items=[1, 2])
-    before = canonical_bytes(holder)
+    before = encode_canonical(holder)
     holder.items.append(3)
-    after = canonical_bytes(holder)
+    after = encode_canonical(holder)
     assert before != after
     assert after == reference_canonical_bytes(holder)
-
-
-def test_encode_canonical_is_canonical_bytes():
-    message = sample_instances()[2]
-    assert encode_canonical(message) == canonical_bytes(message)

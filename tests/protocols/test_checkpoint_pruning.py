@@ -7,9 +7,12 @@ the unpaired stand-by that takes over after a crash).
 
 from __future__ import annotations
 
+import pytest
+
 from repro import OpenLoopWorkload, ProtocolConfig, build_cluster
 from repro.core.requests import ClientRequest
 from repro.failures.faults import CrashFault
+from repro.protocols.runtime import install_prefix, replay_history
 from tests.conftest import assert_executed_once
 
 INTERVAL = 16
@@ -78,6 +81,28 @@ def test_late_copy_is_refused_by_the_coordinator_a_crash_installs():
     _assert_executed_once(cluster, old)
     issued = sum(len(client.issued) for client in cluster.clients)
     assert sum(client.completed_count for client in cluster.clients) == issued
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="state transfer replays (seq, digest) rows only: the rejoined "
+    "process's executed-id record stays empty, so it pools a late copy "
+    "of a request executed below the snapshot",
+)
+def test_late_copy_is_refused_by_a_replica_rejoined_from_a_snapshot():
+    cluster = _cluster(duration=1.0)
+    cluster.start()
+    cluster.run(until=1.5)
+    peer = cluster.process("p2")
+    assert peer.checkpoints.stable_seq >= 2 * INTERVAL
+    old = cluster.clients[0].issued[0]
+    assert peer.note_request(old) is False  # the peer's record refuses it
+    # Rejoin as a live node does: a fresh process adopts the peer's
+    # committed prefix, replayed from its (seq, req_digest) rows.
+    fresh = _cluster().process("p2")
+    snapshot = replay_history("p2", list(peer.machine.history))
+    assert install_prefix(fresh, snapshot) == peer.machine.applied_seq
+    assert fresh.note_request(old) is False
 
 
 def test_ids_below_an_executed_one_are_still_accepted():
