@@ -3,10 +3,8 @@
 A thin wrapper over :mod:`repro.harness.cli` so the package itself is
 runnable; also the ``repro`` console-script target.
 
-The ``worker``, ``serve``, ``load`` and ``lint`` subcommands
-short-circuit before the harness CLI is imported: sweep
-coordinators (:mod:`repro.harness.exec.sockets`) spawn one ``python -m
-repro worker`` process per job, the live-cluster controller
+The ``serve``, ``load`` and ``lint`` subcommands short-circuit before
+the harness CLI is imported: the live-cluster controller
 (:mod:`repro.live.cluster`) spawns one ``python -m repro serve
 --join`` process per replica, the static-analysis pass
 (:mod:`repro.analysis`) needs no simulator at all, and the fast paths
@@ -21,10 +19,6 @@ import sys
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "worker":
-        from repro.harness.exec.sockets import main as worker_main
-
-        return worker_main(argv[1:])
     if argv and argv[0] == "serve":
         from repro.live.cluster import main as serve_main
 

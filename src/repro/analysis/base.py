@@ -6,8 +6,8 @@ stable code (``RPR001``...).  It declares the paths it patrols
 ``src/`` layer stripped, so ``repro/sim/`` matches both the installed
 and the in-repo form) and turns :class:`SourceFile` ASTs into
 :class:`Finding` values.  Checkers are classes registered by code
-(:mod:`~repro.analysis.registry`), mirroring the protocol, executor
-and probe registries; instances are per-run.
+(:mod:`~repro.analysis.registry`), mirroring the protocol and probe
+registries; instances are per-run.
 
 Suppression happens in two layers, both recorded on the finding so
 ``--format json`` consumers can tell them apart:

@@ -1,17 +1,17 @@
 """RPR002 — registry dispatch: plugin axes stay behind their
 registries.
 
-PR 2/4/5 turned protocols, executors and probes into registries so a
-new plugin is one module, not a harness edit.  That only stays true if
-nothing outside the owning packages re-grows ``if protocol == "sc"``
-chains or imports a concrete backend class around the registry.  Two
-rules, over ``src/repro`` only (tests may poke concrete classes):
+Protocols and probes are registries so that a new plugin is one
+module, not a harness edit.  That only stays true if nothing outside
+the owning packages re-grows ``if protocol == "sc"`` chains or imports
+a concrete plugin class around the registry.  Two rules, over
+``src/repro`` only (tests may poke concrete classes):
 
 * no string-literal dispatch on a protocol-ish value (``== "sc"``,
   ``in ("sc", "bft")``, ``.startswith("sc")``) outside
   ``repro/protocols/``;
-* no imports of concrete plugin classes from the executor, probe or
-  protocol implementation modules outside their owning packages —
+* no imports of concrete plugin classes from the probe or protocol
+  implementation modules outside their owning packages —
   callers go through ``register/get/names``.
 """
 
@@ -29,7 +29,6 @@ from repro.analysis.registry import register
 #: owning package (the package ``__init__`` re-exports are the public
 #: face and register the plugins as a side effect).
 PLUGIN_MODULES = {
-    "repro.harness.exec": ("serial", "pool", "sockets"),
     "repro.harness.probes": ("paper", "recovery", "scale"),
     "repro.protocols": ("sc", "scr", "bft", "ct"),
 }

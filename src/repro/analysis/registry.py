@@ -2,7 +2,7 @@
 
 Maps checker codes (``RPR001``...) to
 :class:`~repro.analysis.base.Checker` *classes* (instances are
-per-run), mirroring the protocol, executor and probe registries.  The
+per-run), mirroring the protocol and probe registries.  The
 five built-in invariants register on package import; a new invariant
 registers with :func:`register` and is immediately selectable from
 ``repro lint --select`` and listed by ``repro lint --list``.

@@ -36,11 +36,10 @@ class MetricsError(ReproError):
 class SweepError(ReproError):
     """A sweep task could not be brought to a result.
 
-    Raised by the execution backends in :mod:`repro.harness.exec` when
-    a task fails inside a worker (the message names the owning
-    ``point_id``), when a worker pool loses a future without producing
-    a result, or when the socket coordinator exhausts its retries for a
-    task whose workers keep dying.
+    Raised by the serial and pool modes of :mod:`repro.harness.exec`
+    when a task fails, in-process or inside a pool worker (the message
+    names the owning ``point_id``), when a pool worker dies without
+    producing a result, or when a progress or journal callback fails.
     """
 
 

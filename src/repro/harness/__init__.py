@@ -16,8 +16,8 @@ figures.
   linear fit the probes and figures share;
 * :mod:`~repro.harness.experiments` — the one measured-run wiring and
   the paper's order and fail-over point experiments over it;
-* :mod:`~repro.harness.runner` — pure sweep tasks executed across a
-  worker-process pool (``--jobs N``);
+* :mod:`~repro.harness.runner` — pure sweep tasks, executed in-process
+  or across a local worker-process pool (``--jobs N``);
 * :mod:`~repro.harness.figures` — the figure table (grid, required
   metrics and renderer per figure);
 * :mod:`~repro.harness.cli` — the command line:

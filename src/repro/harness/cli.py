@@ -8,7 +8,7 @@ the sweep runner, declarative scenarios and the registries::
     python -m repro compare out/BENCH_fig4.json baselines/BENCH_fig4.json
     python -m repro scenario bursty-load --seeds 1,2,3 --jobs 4
 
-The live-cluster, worker and lint subcommands import their
+The live-cluster and lint subcommands import their
 implementation only while the parser is built, so importing this
 module pulls in neither asyncio and the live stack nor the analyser.
 """
@@ -22,7 +22,6 @@ import repro.harness.probes as probe_registry
 import repro.protocols as protocols
 from repro.core.config import ProtocolConfig
 from repro.errors import ConfigError, ReproError
-from repro.harness import exec as exec_backends
 from repro.harness.artifact import (
     artifact_path,
     from_results,
@@ -31,7 +30,7 @@ from repro.harness.artifact import (
 )
 from repro.harness.baseline import DEFAULT_TOLERANCE_PCT, compare
 from repro.harness.baseline import main as baseline_main
-from repro.harness.exec.sockets import add_coordinator_arguments, coordinator_options
+from repro.harness.exec import load_cost_hints
 from repro.harness.figures import FIGURES, figure_tasks
 from repro.harness.report import render_table
 from repro.harness.runner import (
@@ -61,18 +60,15 @@ def _parse_probes(arg: str | None) -> tuple[str, ...] | None:
 
 
 def _execute(args, tasks: list, progress, cost_hints=None) -> tuple[list, str]:
-    """Run ``tasks`` on the backend the flags select; returns the
-    results and the backend's name (artifacts record it)."""
-    executor = args.executor or default_executor(args.jobs, len(tasks))
+    """Run ``tasks`` as ``--jobs``/``--resume`` say; returns the
+    results and the mode that ran them (artifacts record it)."""
     results = execute(
         tasks, jobs=args.jobs,
         progress=progress,
-        executor=executor,
         checkpoint=args.resume,
         cost_hints=cost_hints,
-        executor_options=coordinator_options(args, executor),
     )
-    return results, executor
+    return results, default_executor(args.jobs, len(tasks))
 
 
 def _sweep_params(args, figure: str, executor: str) -> dict:
@@ -145,7 +141,7 @@ def _cmd_suite(args) -> int:
     # the slowest task never straggles at the tail of the sweep.
     results, executor = _execute(
         args, unique, None if args.no_progress else print_progress,
-        cost_hints=exec_backends.load_cost_hints(args.baseline_dir),
+        cost_hints=load_cost_hints(args.baseline_dir),
     )
     wall = watch.elapsed
     by_task = dict(zip(unique, results))
@@ -288,24 +284,11 @@ def _cmd_protocols(args) -> int:
     return 0
 
 
-def _cmd_worker(args) -> int:
-    from repro.harness.exec.sockets import main as worker_main
-
-    worker_argv = ["--connect", args.connect]
-    if args.auth_key:
-        worker_argv += ["--auth-key", args.auth_key]
-    return worker_main(worker_argv)
-
-
 def _add_sweep_options(parser, json_dir_default=None) -> None:
     parser.add_argument("--quick", action="store_true", help="fewer points/batches")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (1 = serial, in-process)")
-    parser.add_argument("--executor", default=None,
-                        choices=exec_backends.names(),
-                        help="execution backend (default: serial for "
-                             "--jobs 1, pool otherwise)")
     parser.add_argument("--resume", default=None, metavar="JOURNAL",
                         help="checkpoint journal: finished points are "
                              "appended here as they complete, and points "
@@ -314,11 +297,6 @@ def _add_sweep_options(parser, json_dir_default=None) -> None:
                         help="probe selection for every point (default: "
                              "each experiment's paper probes; see "
                              "`repro probes`)")
-    add_coordinator_arguments(parser)
-    parser.add_argument("--auth-key", default=None,
-                        help="sockets executor: pre-shared handshake key "
-                             "(or $REPRO_AUTH_KEY); required with a "
-                             "non-loopback --bind")
     parser.add_argument("--json-dir", default=json_dir_default,
                         help="write BENCH_<figure>.json artifacts here")
 
@@ -344,14 +322,9 @@ def _add_scenario_arguments(parser) -> None:
                         help="comma-separated seeds: run a grid via the runner")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for --seeds grids")
-    parser.add_argument("--executor", default=None,
-                        choices=exec_backends.names(),
-                        help="execution backend for --seeds grids "
-                             "(default: serial for --jobs 1, pool otherwise)")
     parser.add_argument("--resume", default=None, metavar="JOURNAL",
                         help="checkpoint journal for --seeds grids: "
                              "completed seeds are skipped on re-run")
-    add_coordinator_arguments(parser)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -422,18 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "probes", _cmd_probes, help="list registered measurement probes"
     ).add_argument("name", nargs="?", default=None,
                    help="describe one probe in detail")
-
-    worker_parser = command(
-        "worker", _cmd_worker,
-        help="run sweep tasks streamed from a sockets-executor "
-             "coordinator (spawned automatically for local "
-             "sweeps; start by hand on extra hosts)",
-    )
-    worker_parser.add_argument("--connect", required=True, metavar="HOST:PORT",
-                               help="coordinator address")
-    worker_parser.add_argument("--auth-key", default=None,
-                               help="pre-shared handshake key (or "
-                                    "$REPRO_AUTH_KEY)")
 
     add_serve_arguments(command(
         "serve", cmd_serve,

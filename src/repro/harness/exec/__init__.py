@@ -1,20 +1,19 @@
-"""Pluggable sweep-execution backends.
+"""Sweep execution: a grid of pure tasks in, results in task order out.
 
-The execution half of the sweep runner, split out behind a small
-registry (mirroring :mod:`repro.protocols`): an
-:class:`~repro.harness.exec.base.Executor` maps a grid of pure
-:class:`~repro.harness.runner.SweepTask` values to
+The execution half of the sweep runner.  Two local modes map a grid
+of :class:`~repro.harness.runner.SweepTask` values to
 :class:`~repro.harness.runner.PointResult` lists **in submission
-order**, and three backends register on import —
+order**, and :func:`~repro.harness.runner.default_executor` picks
+between them from ``jobs`` and the grid size —
 
-* ``serial`` — in-process loop, the reference implementation;
-* ``pool`` — the local ``ProcessPoolExecutor`` fan-out;
-* ``sockets`` — a fault-tolerant TCP coordinator streaming tasks to
-  ``python -m repro worker`` subprocesses, rescheduling the tasks of
-  dead or timed-out workers.
+* :func:`run_serial` — in-process loop, the reference implementation;
+* :func:`run_pool` — a local ``ProcessPoolExecutor`` fan-out with at
+  most ``jobs`` tasks in flight.
 
-All three are regression-tested byte-identical for the same grid.
-Orthogonal layers that compose with any backend:
+Both are regression-tested byte-identical for the same grid and share
+one failure contract: a :class:`~repro.errors.SweepError` naming the
+point, with the cause chained, never a ``None`` hole in the results.
+Two layers compose with either mode:
 
 * :mod:`~repro.harness.exec.schedule` — cost-aware dispatch
   (expensive tasks first; prior-artifact ``events`` telemetry as the
@@ -22,44 +21,24 @@ Orthogonal layers that compose with any backend:
 * :mod:`~repro.harness.exec.checkpoint` — journal finished points and
   resume interrupted sweeps.
 
-Most callers go through the stable facade
-:func:`repro.harness.runner.execute`; this package is the extension
-surface.
+Most callers go through :func:`repro.harness.runner.execute`.
 """
 
-from repro.harness.exec.base import (
-    Executor,
-    create,
-    get,
-    names,
-    register,
-    unregister,
-)
 from repro.harness.exec.checkpoint import Checkpoint, run_with_checkpoint
+from repro.harness.exec.pool import run_pool
 from repro.harness.exec.schedule import (
     dispatch_order,
     load_cost_hints,
     predicted_cost,
 )
-
-# Importing the backend modules registers them.
-from repro.harness.exec.serial import SerialExecutor
-from repro.harness.exec.pool import PoolExecutor
-from repro.harness.exec.sockets import SocketExecutor
+from repro.harness.exec.serial import run_serial
 
 __all__ = [
     "Checkpoint",
-    "Executor",
-    "PoolExecutor",
-    "SerialExecutor",
-    "SocketExecutor",
-    "create",
     "dispatch_order",
-    "get",
     "load_cost_hints",
-    "names",
     "predicted_cost",
-    "register",
+    "run_pool",
+    "run_serial",
     "run_with_checkpoint",
-    "unregister",
 ]

@@ -1,17 +1,17 @@
 """Checkpoint/resume: journal finished points, skip them on re-run.
 
 A sweep interrupted at point 37 of 60 — a preempted CI runner, a
-laptop lid, a killed coordinator — should resume at point 38, not
+laptop lid, a killed process — should resume at point 38, not
 point 1.  Tasks are pure and ``point_id`` encodes every field that
 influences a measurement, so a journal keyed on point ids is safe to
-reuse across processes, backends and even *changed grids*: only
+reuse across processes, execution modes and even *changed grids*: only
 points whose full identity matches are skipped.
 
 The journal is a file of back-to-back pickle records, one
 ``(point_id, git_sha, PointResult)`` per finished point, appended and
-flushed as each completion arrives (any backend's ``progress`` stream
-drives it, so checkpointing composes with ``serial``, ``pool`` and
-``sockets`` alike).  A record torn by a crash mid-append is detected
+flushed as each completion arrives (the ``progress`` stream drives
+it, so checkpointing composes with the serial and the pool mode
+alike).  A record torn by a crash mid-append is detected
 and ignored on load — the interrupted point simply re-runs.  The git
 SHA guards code identity: a ``point_id`` encodes every task
 *parameter* but nothing about the simulator itself, so records
@@ -24,11 +24,10 @@ from __future__ import annotations
 import pickle
 import warnings
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.harness.artifact import current_git_sha
-from repro.harness.exec.base import Executor, ProgressCallback
-from repro.harness.runner import PointResult, Progress, SweepTask
+from repro.harness.runner import PointResult, Progress, ProgressCallback, SweepTask
 
 
 class Checkpoint:
@@ -88,13 +87,15 @@ class Checkpoint:
 
 
 def run_with_checkpoint(
-    backend: Executor,
+    run: Callable[..., list[PointResult]],
     tasks: Sequence[SweepTask],
     path: str | Path,
     progress: ProgressCallback | None = None,
 ) -> list[PointResult]:
-    """Execute ``tasks`` through ``backend``, journaling to ``path``
-    and skipping points the journal already holds.
+    """Execute ``tasks`` with ``run`` (``run(tasks, progress=...)``:
+    :func:`~repro.harness.exec.run_serial` or a bound
+    :func:`~repro.harness.exec.run_pool`), journaling to ``path`` and
+    skipping points the journal already holds.
 
     Results come back in task order, journaled and fresh interleaved —
     indistinguishable from an uninterrupted run.  Progress totals
@@ -121,7 +122,7 @@ def run_with_checkpoint(
             progress(Progress(done=completed, total=len(tasks),
                               elapsed=snapshot.elapsed, last=snapshot.last))
 
-    fresh = backend.run(remaining, progress=journal_and_report) if remaining else []
+    fresh = run(remaining, progress=journal_and_report) if remaining else []
     by_id = {point.task.point_id: point for point in fresh}
     return [
         done[task.point_id] if task.point_id in done else by_id[task.point_id]

@@ -1,6 +1,6 @@
 """Cost-aware dispatch: predicted-expensive tasks first.
 
-A sweep's wall time under a parallel backend is bounded by whichever
+A sweep's wall time under the process pool is bounded by whichever
 task finishes *last* — dispatch a grid in naive order and the one
 saturated point that takes 10x the others can land on a worker at the
 very end, leaving the rest of the fleet idle while it straggles
@@ -23,7 +23,7 @@ Costs come from two sources, best first:
   range to within a few percent and ranks the profiled 10 ms / 60
   batch reference point as the most expensive quick-suite task.
 
-Only the *dispatch* order is affected; every backend still returns
+Only the *dispatch* order is affected; both modes still return
 results in submission order, so scheduling can never change a result.
 """
 

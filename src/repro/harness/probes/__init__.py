@@ -1,7 +1,7 @@
 """Pluggable measurement probes.
 
 The observation half of the harness, split out behind a registry
-(mirroring :mod:`repro.protocols` and :mod:`repro.harness.exec`): a
+(mirroring :mod:`repro.protocols`): a
 :class:`~repro.harness.probes.base.Probe` declares the trace kinds it
 needs, consumes records incrementally as the simulator emits them, and
 finalizes to named scalar metrics (the per-point metric map of

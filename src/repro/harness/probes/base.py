@@ -17,10 +17,10 @@ who can replay them through other probes
 (:func:`~repro.harness.probes.feed.replay_records`).
 
 Probes are classes registered by name (:mod:`~repro.harness.probes.
-registry`), mirroring the protocol and executor registries; instances
-are per-run, constructed against a :class:`ProbeContext` carrying the
-experiment parameters the paper's definitions need (measurement
-window, warm-up discard, sample caps).
+registry`), mirroring the protocol registry; instances are per-run,
+constructed against a :class:`ProbeContext` carrying the experiment
+parameters the paper's definitions need (measurement window, warm-up
+discard, sample caps).
 """
 
 from __future__ import annotations

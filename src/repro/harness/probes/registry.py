@@ -1,11 +1,11 @@
 """The measurement-probe registry.
 
 Maps probe names to :class:`~repro.harness.probes.base.Probe`
-*classes* (instances are per-run), mirroring the protocol and executor
-registries.  The paper's three probes register on package import; a
-new probe registers with :func:`register` and is immediately
-selectable from ``SweepTask(probes=...)``, scenario specs, every CLI
-``--probes`` flag and ``python -m repro probes``.
+*classes* (instances are per-run), mirroring the protocol registry.
+The paper's three probes register on package import; a new probe
+registers with :func:`register` and is immediately selectable from
+``SweepTask(probes=...)``, scenario specs, every CLI ``--probes`` flag
+and ``python -m repro probes``.
 """
 
 from __future__ import annotations

@@ -4,16 +4,15 @@ The figure sweeps of :mod:`repro.harness.figures` are grids of
 independent simulation runs: each (protocol, scheme, interval) point
 builds a fresh cluster from an explicit seed and returns plain data.
 This module turns every such point into a :class:`SweepTask` value;
-*executing* a grid is the job of the pluggable backends registered in
-:mod:`repro.harness.exec` (``serial``, ``pool``, ``sockets``), reached
-through the stable :func:`execute` facade below.
+*executing* a grid is the job of :mod:`repro.harness.exec` (in-process
+``serial`` or a local process ``pool``), reached through the
+:func:`execute` facade below.
 
 Determinism: a task carries everything that influences its outcome
 (protocol, scheme, interval, ``f``, seed, batch counts, calibration
 profile name), and :func:`run_task` is a pure function of the task —
-the same grid therefore produces byte-identical results whichever
-backend runs it, across any number of workers, in any completion
-order.
+the same grid therefore produces byte-identical results serially or
+across any number of workers, in any completion order.
 
 Calibration profiles are referenced *by name* so tasks stay small and
 picklable; each worker process resolves a name to a profile once and
@@ -28,9 +27,8 @@ Typical use::
     results = execute(tasks, jobs=4, progress=print_progress)
     series = order_series(results, value="latency_mean")
 
-Scaling out, resuming::
+Resuming an interrupted sweep::
 
-    execute(tasks, jobs=8, executor="sockets")       # worker subprocesses over TCP
     execute(tasks, jobs=4, checkpoint="sweep.ckpt")  # journal + resume
 """
 
@@ -40,12 +38,12 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 import repro.harness.probes as probe_registry
 from repro.calibration import CALIBRATION_PROFILES, resolve_calibration
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SweepError
 from repro.harness import experiments
 from repro.harness.scenario import ScenarioSpec, run_scenario, spec_to_dict
 from repro.harness.telemetry import Stopwatch
@@ -236,7 +234,7 @@ def run_task(task: SweepTask) -> PointResult:
 
 
 # ----------------------------------------------------------------------
-# Progress reporting (shared by every execution backend)
+# Progress reporting (shared by both execution modes)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Progress:
@@ -255,6 +253,39 @@ class Progress:
         return self.elapsed / self.done * (self.total - self.done)
 
 
+#: Per-completion callback type (``None`` disables reporting).
+ProgressCallback = Callable[[Progress], None]
+
+
+def progress_reporter(
+    progress: ProgressCallback | None, total: int
+) -> Callable[[PointResult], None]:
+    """The per-completion hook both execution modes call: counts and
+    times finished points and hands ``progress`` a snapshot.
+
+    A failing callback (a full disk under ``--resume``) aborts the
+    sweep as a :class:`~repro.errors.SweepError` with the cause
+    chained, never as a bare ``OSError`` from deep inside a mode.
+    """
+    watch = Stopwatch()
+    done = 0
+
+    def report(point: PointResult) -> None:
+        nonlocal done
+        done += 1
+        if progress is None:
+            return
+        try:
+            progress(Progress(done=done, total=total,
+                              elapsed=watch.elapsed, last=point))
+        except Exception as exc:
+            raise SweepError(
+                f"progress callback failed after {point.task.point_id}: {exc}"
+            ) from exc
+
+    return report
+
+
 def print_progress(progress: Progress, stream=None) -> None:
     """Default progress reporter: one stderr line per finished point."""
     stream = stream if stream is not None else sys.stderr
@@ -268,67 +299,54 @@ def print_progress(progress: Progress, stream=None) -> None:
 
 
 def default_executor(jobs: int, n_tasks: int) -> str:
-    """The backend :func:`execute` picks when none is named — the
-    single source of truth, shared with callers (the CLI) that record
-    which backend ran."""
+    """The execution mode for a grid: ``"pool"`` when there is both
+    more than one job and more than one task, else ``"serial"``.  The
+    one selection rule, shared with callers (the CLI) that record
+    which mode ran."""
     return "pool" if jobs > 1 and n_tasks > 1 else "serial"
 
 
 def execute(
     tasks: Iterable[SweepTask],
     jobs: int = 1,
-    progress: Callable[[Progress], None] | bool | None = None,
-    executor: str | None = None,
+    progress: ProgressCallback | bool | None = None,
     checkpoint: str | None = None,
     cost_hints: dict[str, float] | None = None,
-    executor_options: dict | None = None,
 ) -> list[PointResult]:
     """Run every task and return results in task order.
 
-    The stable facade over the execution backends registered in
-    :mod:`repro.harness.exec`:
+    ``jobs <= 1`` (or a single task) runs serially in-process — no
+    pool, no pickling; larger values fan the grid out over a local
+    worker-process pool (:func:`default_executor`).  Both modes
+    produce identical results for the same tasks.
 
-    * ``executor`` names a backend (``"serial"``, ``"pool"``,
-      ``"sockets"``, or anything registered).  ``None`` keeps the
-      historical behaviour — ``jobs <= 1`` runs serially in-process
-      (no pool, no pickling), larger values fan the grid out over a
-      worker-process pool.  Every backend produces identical results
-      for the same tasks.
     * ``checkpoint`` names a journal file: each finished point is
       appended as it completes, and a re-run against the same path
       skips points the journal already holds — an interrupted sweep
       resumes instead of starting over.
     * ``cost_hints`` maps ``point_id`` to a relative cost (typically
-      ``events`` telemetry from a prior artifact); parallel backends
-      dispatch predicted-expensive tasks first so the slowest point
-      never straggles at the tail.  Result order is unaffected.
-    * ``executor_options`` are extra constructor keywords for the
-      chosen backend (e.g. ``bind``/``port``/``spawn`` on
-      ``sockets`` — what the CLI's ``--bind``/``--spawn`` pass); they
-      must be options that backend accepts.
+      ``events`` telemetry from a prior artifact); the pool dispatches
+      predicted-expensive tasks first so the slowest point never
+      straggles at the tail.  Result order is unaffected.
 
     ``progress`` is a per-completion callback; any falsy value
     (``None``, ``False``) disables reporting, so callers can write
     ``progress=False`` without tripping over the callable protocol.
     ``True`` selects the default stderr reporter.
     """
-    from repro.harness import exec as exec_backends
+    from repro.harness.exec import run_pool, run_serial, run_with_checkpoint
 
     if not progress:
         progress = None
     elif progress is True:  # symmetric shorthand for the default reporter
         progress = print_progress
     tasks = list(tasks)
-    if executor is None:
-        executor = default_executor(jobs, len(tasks))
-    backend = exec_backends.create(
-        executor, jobs=jobs, cost_hints=cost_hints, **(executor_options or {})
-    )
+    run: Callable[..., list[PointResult]] = run_serial
+    if default_executor(jobs, len(tasks)) == "pool":
+        run = partial(run_pool, jobs=jobs, cost_hints=cost_hints)
     if checkpoint is not None:
-        return exec_backends.run_with_checkpoint(
-            backend, tasks, checkpoint, progress=progress
-        )
-    return backend.run(tasks, progress=progress)
+        return run_with_checkpoint(run, tasks, checkpoint, progress=progress)
+    return run(tasks, progress=progress)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,9 @@
 """Length-prefixed pickle framing and the authenticated handshake.
 
-The single wire codec shared by every real-transport component of the
-harness: the sweep coordinator and its workers
-(:mod:`repro.harness.exec.sockets`) and the live replica runtime
-(:mod:`repro.live`).  A frame is a 4-byte big-endian payload length
-followed by a pickle; both blocking-socket and asyncio stream variants
-are provided so threaded and event-loop code read the same bytes.
+The wire codec of the live replica runtime (:mod:`repro.live`).  A
+frame is a 4-byte big-endian payload length followed by a pickle; the
+asyncio stream variant carries the live cluster, and a blocking-socket
+variant reads and writes the same bytes for code outside an event loop.
 
 Authentication
 --------------
@@ -44,10 +42,10 @@ LEN = struct.Struct(">I")
 #: Hard cap on a single frame's payload.  The length header is
 #: attacker-controlled on an unauthenticated connection, so without a
 #: bound any peer can demand a 4 GiB allocation before the handshake
-#: even runs.  Legitimate frames (sweep tasks, protocol messages,
-#: node reports) are well under this; writers check it too
-#: (:func:`encode_frame`), so a sender learns of an oversize frame
-#: instead of its peer silently dropping the connection.
+#: even runs.  Legitimate frames (protocol messages, node reports)
+#: are well under this; writers check it too (:func:`encode_frame`),
+#: so a sender learns of an oversize frame instead of its peer
+#: silently dropping the connection.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Environment variable carrying the pre-shared cluster key.
@@ -73,12 +71,12 @@ class AuthenticationError(ConnectionError):
 # ----------------------------------------------------------------------
 # Jittered exponential backoff
 #
-# The one retry cadence every reconnect path in the harness shares: the
-# live transport's per-peer channels, the sweep workers' initial dial,
-# and the load client's controller fetch.  Jitter decorrelates a fleet
-# of peers retrying against the same reborn listener; the budget turns
-# "retry forever on a dead peer" into a bounded failure with a
-# :class:`PeerLost` whose ``__cause__`` names the last underlying error.
+# The one retry cadence every reconnect path shares: the live
+# transport's per-peer channels and the load client's controller
+# fetch.  Jitter decorrelates a fleet of peers retrying against the
+# same reborn listener; the budget turns "retry forever on a dead
+# peer" into a bounded failure with a :class:`PeerLost` whose
+# ``__cause__`` names the last underlying error.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class BackoffPolicy:
@@ -122,40 +120,13 @@ class BackoffPolicy:
 
 
 #: Default policy for dialling a peer that should already be up
-#: (replica data listeners, an established coordinator).
+#: (replica data listeners).
 RECONNECT = BackoffPolicy(first=0.05, cap=1.0, budget=None)
 
 #: Default policy for racing a peer that may still be starting (the
-#: load client vs. the serve controller, workers vs. the coordinator):
-#: bounded, so a truly absent peer is a clean failure, not a hang.
+#: load client vs. the serve controller): bounded, so a truly absent
+#: peer is a clean failure, not a hang.
 STARTUP = BackoffPolicy(first=0.1, cap=2.0, budget=20.0)
-
-
-def connect_with_retry(
-    host: str,
-    port: int,
-    policy: BackoffPolicy = STARTUP,
-    rng: random.Random | None = None,
-) -> socket.socket:
-    """Blocking dial with jittered backoff; the budget caps total wait.
-
-    Raises :class:`PeerLost` chained from the last ``OSError`` when the
-    policy's budget runs out.
-    """
-    import time as _time
-
-    last: Exception | None = None
-    for delay in _with_leading_zero(policy, rng):
-        if delay:
-            _time.sleep(delay)
-        try:
-            return socket.create_connection((host, port))
-        except OSError as exc:
-            last = exc
-    raise PeerLost(
-        f"could not connect to {host}:{port} within the retry budget "
-        f"({policy.budget}s)"
-    ) from last
 
 
 async def open_connection_with_retry(
@@ -282,20 +253,6 @@ def _answer(key: bytes, challenge: bytes) -> bytes:
     return hmac.new(key, challenge, "sha256").digest()
 
 
-def _send_handshake(sock: socket.socket, data: bytes) -> None:
-    sock.sendall(LEN.pack(len(data)) + data)
-
-
-def _recv_handshake(sock: socket.socket) -> bytes:
-    header = recv_exact(sock, LEN.size)
-    (length,) = LEN.unpack(header)
-    if length > _HANDSHAKE_MAX:
-        raise AuthenticationError(
-            f"oversize handshake message ({length} bytes)"
-        )
-    return recv_exact(sock, length)
-
-
 def _write_handshake(writer: asyncio.StreamWriter, data: bytes) -> None:
     writer.write(LEN.pack(len(data)) + data)
 
@@ -312,32 +269,6 @@ async def _read_handshake(reader: asyncio.StreamReader) -> bytes:
         return await reader.readexactly(length)
     except (asyncio.IncompleteReadError, ConnectionError, OSError) as exc:
         raise PeerLost(f"peer closed the connection: {exc!r}") from None
-
-
-def deliver_challenge(sock: socket.socket, key: bytes) -> None:
-    """Listener side of the handshake over a blocking socket.
-
-    Raises :class:`AuthenticationError` when the dialer's response does
-    not match; the caller should close the connection.
-    """
-    challenge = _CHALLENGE + os.urandom(_CHALLENGE_BYTES)
-    _send_handshake(sock, challenge)
-    response = _recv_handshake(sock)
-    if not hmac.compare_digest(response, _answer(key, challenge)):
-        _send_handshake(sock, _FAILURE)
-        raise AuthenticationError("peer failed the auth handshake")
-    _send_handshake(sock, _WELCOME)
-
-
-def answer_challenge(sock: socket.socket, key: bytes) -> None:
-    """Dialer side of the handshake over a blocking socket."""
-    challenge = _recv_handshake(sock)
-    if not challenge.startswith(_CHALLENGE):
-        raise AuthenticationError("peer did not issue an auth challenge")
-    _send_handshake(sock, _answer(key, challenge))
-    verdict = _recv_handshake(sock)
-    if verdict != _WELCOME:
-        raise AuthenticationError("listener rejected our auth key")
 
 
 async def deliver_challenge_async(

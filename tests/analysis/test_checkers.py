@@ -120,12 +120,12 @@ def test_rpr002_nonprotocol_compares_are_fine():
 
 
 def test_rpr002_plugin_class_import_fires_outside_owner():
-    bad = "from repro.harness.exec.pool import PoolExecutor\n"
+    bad = "from repro.harness.probes.paper import OrderLatencyProbe\n"
     report = lint_one("repro/harness/runnerish.py", bad)
     (finding,) = actives(report, "RPR002")
-    assert "PoolExecutor" in finding.message
+    assert "OrderLatencyProbe" in finding.message
     # Inside the owning package the import is the registration site.
-    assert actives(lint_one("repro/harness/exec/facade.py", bad), "RPR002") == []
+    assert actives(lint_one("repro/harness/probes/facade.py", bad), "RPR002") == []
     # Lowercase (function/module) imports are not plugin classes.
     ok = "from repro.protocols.sc import quorum_size\n"
     assert actives(lint_one("repro/harness/runnerish.py", ok), "RPR002") == []

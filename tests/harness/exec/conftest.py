@@ -1,13 +1,13 @@
-"""Shared fixtures for the executor-backend tests.
+"""Shared fixtures for the sweep-execution tests.
 
 One small but real grid — two protocols, two intervals, plus a
-scenario point — executed serially once per session; every backend is
-then judged against those reference results.
+scenario point — executed serially once per session; the pool is then
+judged against those reference results.
 """
 
 import pytest
 
-from repro.harness.exec.serial import SerialExecutor
+from repro.harness.exec import run_serial
 from repro.harness.runner import SweepTask, order_grid, scenario_grid
 from repro.harness.scenario import BUILTIN_SCENARIOS
 
@@ -28,5 +28,5 @@ def grid() -> list[SweepTask]:
 
 @pytest.fixture(scope="package")
 def serial_reference(grid):
-    """The reference results every backend must reproduce exactly."""
-    return SerialExecutor().run(grid)
+    """The reference results every mode must reproduce exactly."""
+    return run_serial(grid)

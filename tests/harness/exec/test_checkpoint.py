@@ -4,8 +4,7 @@ import pickle
 
 import pytest
 
-from repro.harness.exec import Checkpoint, run_with_checkpoint
-from repro.harness.exec.serial import SerialExecutor
+from repro.harness.exec import Checkpoint, run_serial, run_with_checkpoint
 from repro.harness.runner import Progress, execute
 
 
@@ -93,7 +92,7 @@ def test_resume_progress_counts_the_whole_grid(grid, serial_reference,
     path = tmp_path / "sweep.ckpt"
     execute(grid[:2], checkpoint=path)
     seen: list[Progress] = []
-    run_with_checkpoint(SerialExecutor(), grid, path, progress=seen.append)
+    run_with_checkpoint(run_serial, grid, path, progress=seen.append)
     assert [s.done for s in seen] == list(range(1, len(grid) + 1))
     assert all(s.total == len(grid) for s in seen)
     # Journaled points replay first, with their recorded wall times.
@@ -103,9 +102,9 @@ def test_resume_progress_counts_the_whole_grid(grid, serial_reference,
 def test_checkpoint_composes_with_parallel_backends(grid, serial_reference,
                                                     tmp_path):
     """The journal is driven by the completion stream, so it works
-    under any backend; a pool run resumes what a serial run started."""
+    under either mode; a pool run resumes what a serial run started."""
     path = tmp_path / "sweep.ckpt"
     execute(grid[:1], checkpoint=path)
-    resumed = execute(grid, jobs=2, checkpoint=path, executor="pool")
+    resumed = execute(grid, jobs=2, checkpoint=path)
     assert [p.result for p in resumed] == [p.result for p in serial_reference]
     assert len(Checkpoint(path).load()) == len(grid)

@@ -1,16 +1,17 @@
-"""Backend equivalence: serial, pool and sockets are byte-identical.
+"""Mode equivalence: serial and pool are byte-identical.
 
-The acceptance contract of the executor layer — for a fixed grid,
-every backend returns the same deterministic results in the same
-submission order, whatever its parallelism, scheduling or transport
-does underneath.
+The acceptance contract of the execution layer — for a fixed grid,
+both modes return the same deterministic results in the same
+submission order, whatever the pool's parallelism or scheduling does
+underneath.
 """
+
+from functools import partial
 
 import pytest
 
-from repro.harness.exec.pool import PoolExecutor
+from repro.harness.exec import run_pool, run_serial
 from repro.harness.exec.schedule import dispatch_order, predicted_cost
-from repro.harness.exec.sockets import SocketExecutor
 from repro.harness.runner import Progress, SweepTask, execute
 
 
@@ -23,15 +24,7 @@ def _assert_matches_reference(results, grid, serial_reference):
 
 
 def test_pool_matches_serial(grid, serial_reference):
-    _assert_matches_reference(
-        PoolExecutor(jobs=2).run(grid), grid, serial_reference
-    )
-
-
-def test_sockets_matches_serial(grid, serial_reference):
-    _assert_matches_reference(
-        SocketExecutor(jobs=2).run(grid), grid, serial_reference
-    )
+    _assert_matches_reference(run_pool(grid, jobs=2), grid, serial_reference)
 
 
 def test_cost_hints_change_dispatch_not_results(grid, serial_reference):
@@ -43,15 +36,15 @@ def test_cost_hints_change_dispatch_not_results(grid, serial_reference):
     order = dispatch_order(grid, backwards)
     assert order[0] == len(grid) - 1  # the hints really did invert it
     _assert_matches_reference(
-        PoolExecutor(jobs=2, cost_hints=backwards).run(grid),
+        run_pool(grid, jobs=2, cost_hints=backwards),
         grid, serial_reference,
     )
 
 
 def test_progress_stream_counts_every_backend(grid):
-    for backend in (PoolExecutor(jobs=2), SocketExecutor(jobs=2)):
+    for run in (run_serial, partial(run_pool, jobs=2)):
         seen: list[Progress] = []
-        backend.run(grid, progress=seen.append)
+        run(grid, progress=seen.append)
         assert [s.done for s in seen] == list(range(1, len(grid) + 1))
         assert all(s.total == len(grid) for s in seen)
         # Completion order may differ from submission order, but every
@@ -60,11 +53,20 @@ def test_progress_stream_counts_every_backend(grid):
 
 
 def test_facade_executor_selector(grid, serial_reference):
-    for name in ("serial", "pool", "sockets"):
-        results = execute(grid, jobs=2, executor=name)
+    """execute() picks the mode from --jobs; either gives the serial
+    reference."""
+    for jobs in (1, 2):
+        results = execute(grid, jobs=jobs)
         assert [p.result for p in results] == [
             p.result for p in serial_reference
         ]
+
+
+def test_facade_defaults_preserve_historical_selection(grid):
+    """jobs<=1 serial, jobs>1 pool — unchanged from the monolith."""
+    assert execute([], jobs=4) == []
+    single = execute(grid[:1], jobs=4)  # 1 task: serial path, no pool
+    assert len(single) == 1
 
 
 # ----------------------------------------------------------------------
@@ -111,9 +113,12 @@ def test_dispatch_order_puts_expensive_tasks_first():
     assert dispatch_order(tasks) == [1, 2, 0]
 
 
-@pytest.mark.parametrize("backend", ["pool", "sockets"])
-def test_empty_grid(backend):
-    assert execute([], jobs=2, executor=backend) == []
+@pytest.mark.parametrize("run", [
+    pytest.param(partial(run_pool, jobs=2), id="pool"),
+    pytest.param(run_serial, id="serial"),
+])
+def test_empty_grid(run):
+    assert run([]) == []
 
 
 def test_load_cost_hints_harvests_v2_artifacts(grid, serial_reference,

@@ -1,21 +1,19 @@
-"""Failure semantics: worker loss, exhausted retries, task errors.
+"""Failure semantics: task errors, lost workers, failing callbacks.
 
-The do-all contract of the sockets backend — a dead worker is a
-scheduling event (the task reruns elsewhere, results unchanged), an
-unrunnable task is a clean, named error, never a hole in the results.
-
-Worker deaths are induced deterministically through the
-``REPRO_EXEC_CRASH=<substring>:<times>`` hook: a worker handed a task
-whose ``point_id`` contains the substring ``os._exit``\\ s while the
-attempt number is ``<= times``.
+Both modes keep one contract — an unrunnable task, a worker that dies
+without an answer and a failing progress callback are each a clean
+:class:`SweepError` naming the point, never a hole in the results —
+and the pool stops dispatching as soon as it sees a failure.
 """
+
+import os
+import uuid
+from pathlib import Path
 
 import pytest
 
 from repro.errors import SweepError
-from repro.harness.exec.pool import PoolExecutor
-from repro.harness.exec.serial import SerialExecutor
-from repro.harness.exec.sockets import SocketExecutor
+from repro.harness.exec import run_pool, run_serial
 from repro.harness.runner import SweepTask, execute
 
 #: Runs fine serially, but its protocol lookup fails inside run_task —
@@ -25,74 +23,22 @@ UNRUNNABLE = SweepTask(kind="order", protocol="not-a-protocol",
                        scheme="md5-rsa1024", batching_interval=0.1)
 
 
-# ----------------------------------------------------------------------
-# sockets: worker death and rescheduling
-# ----------------------------------------------------------------------
-def test_killed_worker_reschedules_and_results_match_serial(
-    grid, serial_reference
-):
-    """A worker dying mid-task costs wall time, never correctness: the
-    task is rescheduled and the sweep is byte-identical to serial."""
-    crash_on = grid[0].point_id.rsplit("/", 1)[0]  # the first grid point
-    backend = SocketExecutor(
-        jobs=2, worker_env={"REPRO_EXEC_CRASH": f"{crash_on}:1"}
-    )
-    results = backend.run(grid)
-    assert [p.task for p in results] == grid
-    assert [p.result for p in results] == [p.result for p in serial_reference]
-
-
-def test_retries_exhausted_is_a_clean_error_naming_the_point(grid):
-    backend = SocketExecutor(
-        jobs=2,
-        worker_env={"REPRO_EXEC_CRASH": f"{grid[0].point_id}:99"},
-    )
-    with pytest.raises(SweepError) as err:
-        backend.run(grid)
-    message = str(err.value)
-    assert grid[0].point_id in message
-    assert "giving up" in message
-
-
-def test_worker_task_exception_names_the_point():
-    with pytest.raises(SweepError) as err:
-        SocketExecutor(jobs=1).run([UNRUNNABLE])
-    message = str(err.value)
-    assert UNRUNNABLE.point_id in message
-    # The worker-side traceback travels with the error.
-    assert "ConfigError" in message
-
-
-def test_no_workers_at_all_fails_instead_of_hanging(grid, monkeypatch):
-    """Workers that cannot even start (broken interpreter, missing
-    package) must surface as an error, not an eternal wait."""
-    import subprocess
-    import sys
-
-    monkeypatch.setattr(
-        SocketExecutor, "_spawn_worker",
-        lambda self, port: subprocess.Popen(
-            [sys.executable, "-c", "import sys; sys.exit(3)"]
-        ),
-    )
-    with pytest.raises(SweepError, match="all sockets-executor workers"):
-        SocketExecutor(jobs=1).run(grid[:1])
+def _disk_full(snapshot):
+    raise OSError("No space left on device")
 
 
 # ----------------------------------------------------------------------
-# pool: lost futures and task exceptions (the pre-refactor None-holes)
+# pool: lost futures, task exceptions, prompt abort
 # ----------------------------------------------------------------------
 def test_pool_task_exception_names_the_point(grid):
     with pytest.raises(SweepError) as err:
-        PoolExecutor(jobs=2).run(grid[:1] + [UNRUNNABLE])
+        run_pool(grid[:1] + [UNRUNNABLE], jobs=2)
     assert UNRUNNABLE.point_id in str(err.value)
 
 
 def _die_hard(task):
     """Emulate the OOM killer: the worker vanishes — no exception, no
     result, a broken pool (module-level so the pool can pickle it)."""
-    import os
-
     os._exit(11)
 
 
@@ -105,20 +51,51 @@ def test_pool_broken_worker_is_an_error_not_a_none_hole(monkeypatch):
                      batching_interval=0.1, n_batches=6, warmup_batches=2)
     monkeypatch.setattr(pool_mod, "run_task", _die_hard)
     with pytest.raises(SweepError) as err:
-        PoolExecutor(jobs=2).run([task])
+        run_pool([task], jobs=2)
     assert task.point_id in str(err.value)
 
 
-def test_sockets_local_callback_failure_aborts_cleanly(grid):
-    """A failing progress/checkpoint callback is a coordinator-side
-    error (e.g. full disk): it must abort the sweep with the real
-    cause, not be misread as a dead worker and churn respawns."""
+def test_pool_callback_failure_aborts_cleanly(grid):
+    """A failing progress/checkpoint callback (e.g. full disk) aborts
+    the sweep as a SweepError with the real cause, not a bare OSError."""
+    with pytest.raises(SweepError, match="callback failed") as err:
+        run_pool(grid[:2], jobs=2, progress=_disk_full)
+    assert isinstance(err.value.__cause__, OSError)
 
-    def disk_full(snapshot):
-        raise OSError("No space left on device")
 
-    with pytest.raises(SweepError, match="callback failed"):
-        SocketExecutor(jobs=1).run(grid[:2], progress=disk_full)
+#: Directory the recording ``run_task`` below writes one file per
+#: started task into (inherited by the forked pool workers).
+STARTS_ENV = "REPRO_TEST_POOL_STARTS"
+
+
+def _recording_run_task(task):
+    """Record the start in the directory named by $STARTS_ENV, then run
+    the task for real (module-level so the pool can pickle it)."""
+    from repro.harness.runner import run_task
+
+    (Path(os.environ[STARTS_ENV]) / uuid.uuid4().hex).touch()
+    return run_task(task)
+
+
+def test_pool_stops_dispatching_after_a_failure(monkeypatch, tmp_path):
+    """Only the tasks already running when a failure arrives finish:
+    a failing first-dispatched task must not drag the rest of a
+    12-task grid through the pool before the SweepError surfaces."""
+    import repro.harness.exec.pool as pool_mod
+
+    jobs = 2
+    tasks = [UNRUNNABLE] + [
+        SweepTask(kind="order", protocol="sc", scheme="md5-rsa1024",
+                  batching_interval=0.1, n_batches=6 + i, warmup_batches=2)
+        for i in range(11)
+    ]
+    monkeypatch.setenv(STARTS_ENV, str(tmp_path))
+    monkeypatch.setattr(pool_mod, "run_task", _recording_run_task)
+    with pytest.raises(SweepError) as err:
+        run_pool(tasks, jobs=jobs, cost_hints={UNRUNNABLE.point_id: 1e12})
+    assert UNRUNNABLE.point_id in str(err.value)
+    started = len(list(tmp_path.iterdir()))
+    assert 1 <= started <= 2 * jobs, f"{started} of {len(tasks)} tasks started"
 
 
 # ----------------------------------------------------------------------
@@ -126,23 +103,32 @@ def test_sockets_local_callback_failure_aborts_cleanly(grid):
 # ----------------------------------------------------------------------
 def test_serial_wraps_any_exception_not_just_repro_errors(monkeypatch):
     """Uniform failure contract: a plain bug inside a task run still
-    surfaces as a SweepError naming the point, as under pool/sockets."""
+    surfaces as a SweepError naming the point, as under the pool."""
     import repro.harness.exec.serial as serial_mod
 
     task = SweepTask(kind="order", protocol="sc", scheme="md5-rsa1024",
                      batching_interval=0.1, n_batches=6, warmup_batches=2)
+
     def buggy_run_task(task):
         raise ValueError("plain bug")
 
     monkeypatch.setattr(serial_mod, "run_task", buggy_run_task)
     with pytest.raises(SweepError, match="plain bug") as err:
-        SerialExecutor().run([task])
+        run_serial([task])
     assert task.point_id in str(err.value)
+
+
 def test_serial_task_exception_names_the_point():
     with pytest.raises(SweepError) as err:
-        SerialExecutor().run([UNRUNNABLE])
+        run_serial([UNRUNNABLE])
     assert UNRUNNABLE.point_id in str(err.value)
     assert err.value.__cause__ is not None
+
+
+def test_serial_callback_failure_aborts_cleanly(grid):
+    with pytest.raises(SweepError, match="callback failed") as err:
+        run_serial(grid[:1], progress=_disk_full)
+    assert isinstance(err.value.__cause__, OSError)
 
 
 def test_facade_propagates_backend_errors():

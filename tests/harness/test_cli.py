@@ -171,15 +171,13 @@ def test_cli_compare_missing_file(fast_runners, tmp_path, capsys):
 
 
 def test_cli_executor_selector(fast_runners, tmp_path, capsys):
-    """--executor reaches the registry; an unknown name is an argparse
-    error (choices come from the registry itself)."""
-    assert main(["fig4", "--quick", "--executor", "serial",
-                 "--json-dir", str(tmp_path)]) == 0
-    assert load_artifact(tmp_path / "BENCH_fig4.json").params["executor"] == (
-        "serial"
-    )
-    with pytest.raises(SystemExit):
-        main(["fig4", "--quick", "--executor", "smoke-signals"])
+    """--jobs selects the execution mode and the artifact records it
+    (the fakes reach the forked pool workers with the module)."""
+    for jobs, mode in (("1", "serial"), ("2", "pool")):
+        assert main(["fig4", "--quick", "--jobs", jobs,
+                     "--json-dir", str(tmp_path)]) == 0
+        artifact = load_artifact(tmp_path / "BENCH_fig4.json")
+        assert artifact.params["executor"] == mode
 
 
 def test_cli_resume_skips_finished_points(fast_runners, tmp_path, capsys):
@@ -201,11 +199,6 @@ def test_cli_resume_skips_finished_points(fast_runners, tmp_path, capsys):
     assert [p["metrics"] for p in again.points] == [
         p["metrics"] for p in first.points
     ]
-
-
-def test_cli_worker_rejects_bad_connect():
-    with pytest.raises(SystemExit):
-        main(["worker", "--connect", "not-an-address"])
 
 
 def test_cli_probes_lists_registry(capsys):
@@ -264,19 +257,6 @@ def test_cli_scenario_probes_flag(capsys):
     assert "unknown probe" in capsys.readouterr().err
 
 
-def test_cli_bind_and_spawn_require_sockets(fast_runners, tmp_path, capsys):
-    """--bind/--spawn configure the sockets coordinator; with any
-    other backend they are a configuration error, not a silent no-op."""
-    assert main(["fig4", "--quick", "--bind", "0.0.0.0:5555"]) == 2
-    assert "sockets" in capsys.readouterr().err
-    assert main(["fig4", "--quick", "--executor", "serial",
-                 "--spawn", "0"]) == 2
-    assert "sockets" in capsys.readouterr().err
-    assert main(["fig4", "--quick", "--executor", "sockets",
-                 "--bind", "not-an-address"]) == 2
-    assert "HOST:PORT" in capsys.readouterr().err
-
-
 def test_cli_protocols_rejects_f_below_one(capsys):
     """The n(f) column takes the same f every ProtocolConfig does."""
     for bad in ("0", "-1"):
@@ -289,7 +269,7 @@ def test_cli_help_is_unchanged(monkeypatch, capsys):
     help string matches the committed snapshot byte for byte."""
     monkeypatch.setenv("COLUMNS", "80")
     sections = HELP_SNAPSHOT.read_text().split("### repro ")[1:]
-    assert len(sections) == 15
+    assert len(sections) == 14
     for section in sections:
         header, _, expected = section.partition("\n")
         argv = header.removesuffix("--help").split() + ["--help"]

@@ -1,11 +1,10 @@
-"""The shared jittered-backoff policy and the retrying dial helpers."""
+"""The shared jittered-backoff policy and the retrying asyncio dial."""
 
 from __future__ import annotations
 
 import asyncio
 import random
 import socket
-import threading
 
 import pytest
 
@@ -49,39 +48,6 @@ def _free_port() -> int:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
-
-
-def test_connect_with_retry_exhausts_budget_with_cause_chain():
-    port = _free_port()  # nothing listens here
-    policy = BackoffPolicy(first=0.01, cap=0.02, jitter=0.0, budget=0.05)
-    with pytest.raises(PeerLost) as info:
-        framing.connect_with_retry("127.0.0.1", port, policy)
-    assert "retry budget" in str(info.value)
-    assert isinstance(info.value.__cause__, OSError)
-
-
-def test_connect_with_retry_wins_the_race_with_a_late_listener():
-    """The whole point of the helper: a dialer that starts before the
-    listener binds still connects once it appears."""
-    port = _free_port()
-    server = socket.socket()
-
-    def bind_late():
-        import time
-        time.sleep(0.15)
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind(("127.0.0.1", port))
-        server.listen(1)
-
-    thread = threading.Thread(target=bind_late)
-    thread.start()
-    try:
-        policy = BackoffPolicy(first=0.05, cap=0.1, jitter=0.0, budget=5.0)
-        sock = framing.connect_with_retry("127.0.0.1", port, policy)
-        sock.close()
-    finally:
-        thread.join()
-        server.close()
 
 
 def test_open_connection_with_retry_exhausts_budget():

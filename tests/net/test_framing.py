@@ -1,7 +1,6 @@
-"""The shared wire codec: framing, handshake, bind gating.
+"""The live transport's wire codec: framing, handshake, bind gating.
 
-One module now feeds both the sweep coordinator and the live replica
-transport, so these tests pin the contract both depend on: frames
+These tests pin the contract the live cluster depends on: frames
 round-trip through blocking sockets and asyncio streams identically,
 a vanished peer is always :class:`PeerLost` (never a bare OSError or a
 short read), and the HMAC handshake admits matching keys only.
@@ -11,7 +10,6 @@ from __future__ import annotations
 
 import asyncio
 import socket
-import threading
 
 import pytest
 
@@ -20,8 +18,6 @@ from repro.net import framing
 from repro.net.framing import (
     AuthenticationError,
     PeerLost,
-    answer_challenge,
-    deliver_challenge,
     is_loopback,
     recv_msg,
     require_auth_for_bind,
@@ -189,43 +185,6 @@ def test_async_oversize_frame_header_is_peer_lost():
 # ----------------------------------------------------------------------
 # Handshake
 # ----------------------------------------------------------------------
-def _handshake(listener_key: bytes, dialer_key: bytes):
-    """Run both handshake halves over a socketpair; returns the
-    per-side outcomes (None = success, else the exception)."""
-    a, b = _pair()
-    outcomes: dict[str, Exception | None] = {}
-
-    def listen_side():
-        try:
-            deliver_challenge(a, listener_key)
-            outcomes["listener"] = None
-        except Exception as exc:  # noqa: BLE001 - recording for assert
-            outcomes["listener"] = exc
-
-    thread = threading.Thread(target=listen_side)
-    thread.start()
-    try:
-        answer_challenge(b, dialer_key)
-        outcomes["dialer"] = None
-    except Exception as exc:  # noqa: BLE001
-        outcomes["dialer"] = exc
-    thread.join(timeout=5)
-    a.close()
-    b.close()
-    return outcomes
-
-
-def test_handshake_matching_keys():
-    outcomes = _handshake(b"secret", b"secret")
-    assert outcomes == {"listener": None, "dialer": None}
-
-
-def test_handshake_wrong_key_rejected_both_sides():
-    outcomes = _handshake(b"secret", b"not-the-secret")
-    assert isinstance(outcomes["listener"], AuthenticationError)
-    assert isinstance(outcomes["dialer"], AuthenticationError)
-
-
 _EVIL_UNPICKLED: list[str] = []
 
 
@@ -236,6 +195,39 @@ class _Evil:
         return (_EVIL_UNPICKLED.append, ("unpickled pre-auth",))
 
 
+def _listener_outcome(dialer) -> Exception | None:
+    """Run :func:`deliver_challenge_async` against a raw asyncio dialer
+    ``dialer(reader, writer)``; returns the listener's exception, or
+    ``None`` when the handshake succeeded."""
+
+    async def scenario():
+        outcome = asyncio.get_running_loop().create_future()
+
+        async def serve(reader, writer):
+            try:
+                await framing.deliver_challenge_async(reader, writer, b"secret")
+                outcome.set_result(None)
+            except Exception as exc:  # noqa: BLE001 - recording for assert
+                outcome.set_result(exc)
+            writer.close()
+
+        server = await asyncio.start_server(serve, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        await dialer(reader, writer)
+        result = await asyncio.wait_for(outcome, timeout=5)
+        writer.close()
+        server.close()
+        return result
+
+    return asyncio.run(scenario())
+
+
+async def _read_raw_challenge(reader) -> bytes:
+    (length,) = framing.LEN.unpack(await reader.readexactly(framing.LEN.size))
+    return await reader.readexactly(length)
+
+
 def test_handshake_never_unpickles_preauth():
     """A rogue dialer answering the challenge with a crafted pickle
     gets rejected without the payload ever reaching pickle.loads: the
@@ -244,49 +236,28 @@ def test_handshake_never_unpickles_preauth():
     import pickle
 
     del _EVIL_UNPICKLED[:]
-    a, b = _pair()
-    outcome: dict[str, Exception | None] = {}
 
-    def listen_side():
-        try:
-            deliver_challenge(a, b"secret")
-            outcome["listener"] = None
-        except Exception as exc:  # noqa: BLE001 - recording for assert
-            outcome["listener"] = exc
+    async def rogue(reader, writer):
+        await _read_raw_challenge(reader)
+        payload = pickle.dumps(_Evil())
+        writer.write(framing.LEN.pack(len(payload)) + payload)
+        await writer.drain()
 
-    thread = threading.Thread(target=listen_side)
-    thread.start()
-    framing._recv_handshake(b)  # the raw challenge
-    payload = pickle.dumps(_Evil())
-    b.sendall(framing.LEN.pack(len(payload)) + payload)
-    thread.join(timeout=5)
-    a.close()
-    b.close()
+    outcome = _listener_outcome(rogue)
     assert _EVIL_UNPICKLED == []
-    assert isinstance(outcome["listener"], AuthenticationError)
+    assert isinstance(outcome, AuthenticationError)
 
 
 def test_handshake_rejects_oversize_message():
     """A pre-auth peer cannot demand a large allocation through the
     handshake length header either."""
-    a, b = _pair()
-    outcome: dict[str, Exception | None] = {}
 
-    def listen_side():
-        try:
-            deliver_challenge(a, b"secret")
-            outcome["listener"] = None
-        except Exception as exc:  # noqa: BLE001
-            outcome["listener"] = exc
+    async def greedy(reader, writer):
+        await _read_raw_challenge(reader)
+        writer.write(framing.LEN.pack(2**31))  # claim a 2 GiB response
+        await writer.drain()
 
-    thread = threading.Thread(target=listen_side)
-    thread.start()
-    framing._recv_handshake(b)
-    b.sendall(framing.LEN.pack(2**31))  # claim a 2 GiB response
-    thread.join(timeout=5)
-    a.close()
-    b.close()
-    assert isinstance(outcome["listener"], AuthenticationError)
+    assert isinstance(_listener_outcome(greedy), AuthenticationError)
 
 
 def test_async_handshake_matches_blocking():
