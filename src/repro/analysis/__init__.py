@@ -12,8 +12,9 @@ repro lint``.  Five ship built in —
   concrete plugin-class imports outside the owning packages;
 * ``RPR003`` trace-kind consistency — probe ``kinds`` declarations,
   emit sites and ``Tracer.wants()`` guards agree;
-* ``RPR004`` wire safety — ``pickle.loads`` only in the framing
-  module, every frame reader bounded by ``MAX_FRAME_BYTES``;
+* ``RPR004`` wire safety — no ``pickle.loads`` outside the framing
+  module, frames decoded there by the restricted ``_WireUnpickler``
+  alone, every frame reader bounded by ``MAX_FRAME_BYTES``;
 * ``RPR005`` async hygiene — nothing blocks the live event loop.
 
 Suppression is explicit and reviewable: ``# repro: allow[CODE]

@@ -53,7 +53,13 @@ def resolve_call(node: ast.Call, imports: dict[str, str]) -> str | None:
     Returns ``None`` for calls whose base is not a module-level import
     (method calls on locals, ``self`` attributes, subscripts...).
     """
-    dotted = dotted_name(node.func)
+    return resolve_name(node.func, imports)
+
+
+def resolve_name(node: ast.AST, imports: dict[str, str]) -> str | None:
+    """Canonical dotted name of a Name/Attribute chain, import-aware
+    (``None`` unless its head is a module-level import)."""
+    dotted = dotted_name(node)
     if dotted is None:
         return None
     head, _, rest = dotted.partition(".")

@@ -1,22 +1,24 @@
-"""RPR004 — wire safety: unpickling stays inside the framing module
-and every frame reader is bounded.
+"""RPR004 — wire safety: frames are decoded by the one restricted
+unpickler, and every frame reader is bounded.
 
-Pickle is code execution for whoever can reach the socket, so the
-hardened handshake of PR 7 only means something while two properties
-hold tree-wide:
+Pickle is code execution for whoever can reach the socket unless the
+decoder restricts what a frame may name, so three properties hold
+tree-wide:
 
-* ``pickle.loads`` appears **only** in ``repro/net/framing.py`` —
-  the single audited choke point where frames are read post-handshake
+* ``pickle.loads`` appears nowhere outside ``repro/net/framing.py``
   (a coalesced ``many`` frame is one pickle, so ``read_frame`` hands
   the live transport its inner frames already decoded and unrolling a
   batch needs no second ``loads``; local journal files use
   ``pickle.load`` on streams and are out of scope; test fixtures that
-  unpickle deliberately carry a pragma);
-* every function in the framing module that unpickles, and every raw
-  length-prefixed read helper near the wire, must consult a byte
-  bound (``MAX_FRAME_BYTES`` / ``_HANDSHAKE_MAX``) before allocating
-  — a length header is attacker-controlled until authentication, and
-  after it, a bug shield.
+  unpickle in-process values deliberately carry a pragma);
+* inside the framing module, frames are decoded only by
+  ``_WireUnpickler``, whose ``find_class`` admits the wire vocabulary
+  alone: a bare ``pickle.loads``/``pickle.load``, a plain
+  ``pickle.Unpickler`` or any other ``Unpickler`` subclass is a finding;
+* every raw length-prefixed read helper in the framing module must
+  consult a byte bound (``MAX_FRAME_BYTES`` / ``_HANDSHAKE_MAX``)
+  before allocating — a length header is attacker-controlled until
+  authentication, and after it, a bug shield.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.analysis.astutil import (
     enclosing_function_nodes,
     import_map,
     resolve_call,
+    resolve_name,
 )
 from repro.analysis.base import Checker, Finding, SourceFile
 from repro.analysis.registry import register
@@ -40,6 +43,11 @@ RAW_READERS = frozenset({"recv_exact", "readexactly"})
 
 BOUND_NAMES = frozenset({"MAX_FRAME_BYTES", "_HANDSHAKE_MAX"})
 
+#: The framing module's one decoder, and the unrestricted spellings
+#: it replaces there.
+RESTRICTED_UNPICKLER = "_WireUnpickler"
+BARE_DECODERS = frozenset({"pickle.loads", "pickle.load", "pickle.Unpickler"})
+
 
 def _references_bound(func: ast.AST) -> bool:
     for node in ast.walk(func):
@@ -50,16 +58,13 @@ def _references_bound(func: ast.AST) -> bool:
     return False
 
 
-def _is_pickle_loads(node: ast.Call, imports: dict[str, str]) -> bool:
-    return resolve_call(node, imports) == "pickle.loads"
-
-
 @register
 class WireSafetyChecker(Checker):
     code = "RPR004"
     name = "wire-safety"
     description = (
-        "pickle.loads only inside repro/net/framing.py, and every "
+        "no pickle.loads outside repro/net/framing.py; inside it, frames "
+        "are decoded by the restricted _WireUnpickler alone, and every "
         "length-prefixed frame reader bounds against MAX_FRAME_BYTES"
     )
     scope = ("repro/", "tests/")
@@ -69,27 +74,38 @@ class WireSafetyChecker(Checker):
         in_framing = file.relpath == FRAMING_MODULE
         owners = enclosing_function_nodes(file.tree) if in_framing else {}
         for node in ast.walk(file.tree):
+            if in_framing and isinstance(node, ast.ClassDef):
+                for base in node.bases:
+                    if (
+                        resolve_name(base, imports) == "pickle.Unpickler"
+                        and node.name != RESTRICTED_UNPICKLER
+                    ):
+                        yield self.finding(
+                            file, node,
+                            f"unpickler {node.name} beside {RESTRICTED_UNPICKLER}; "
+                            f"frames have one decoder, restricted to the wire "
+                            f"vocabulary",
+                        )
+                continue
             if not isinstance(node, ast.Call):
                 continue
-            if _is_pickle_loads(node, imports):
-                if not in_framing:
-                    yield self.finding(
-                        file, node,
-                        "pickle.loads outside repro/net/framing.py; read "
-                        "frames through the framing codec (recv_msg / "
-                        "read_frame) so the byte bound and the handshake "
-                        "discipline apply (the inner frames of a 'many' "
-                        "arrive decoded: tuples to unroll, not bytes)",
-                    )
-                    continue
-                owner = owners.get(node)
-                if owner is None or not _references_bound(owner):
-                    yield self.finding(
-                        file, node,
-                        "unpickling in a function that never consults "
-                        "MAX_FRAME_BYTES; bound the frame length before "
-                        "allocating",
-                    )
+            called = resolve_call(node, imports)
+            if called == "pickle.loads" and not in_framing:
+                yield self.finding(
+                    file, node,
+                    "pickle.loads outside repro/net/framing.py; read "
+                    "frames through the framing codec (recv_msg / "
+                    "read_frame) so the byte bound and the handshake "
+                    "discipline apply (the inner frames of a 'many' "
+                    "arrive decoded: tuples to unroll, not bytes)",
+                )
+            elif in_framing and called in BARE_DECODERS:
+                yield self.finding(
+                    file, node,
+                    f"{called} in the framing module; decode frames through "
+                    f"{RESTRICTED_UNPICKLER} (decode_frame), whose find_class "
+                    f"admits only the wire classes",
+                )
             elif in_framing:
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else (

@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.messages import HEADER_BYTES, CommitProof, OrderBatch, SignedMessage
+from repro.crypto.canon import FieldsOnly
 
 
 @dataclass(frozen=True)
-class PrePrepare:
+class PrePrepare(FieldsOnly):
     """Primary's proposal: the batch with its assigned sequence."""
 
     view: int
@@ -20,7 +21,7 @@ class PrePrepare:
 
 
 @dataclass(frozen=True)
-class Prepare:
+class Prepare(FieldsOnly):
     """A backup's agreement to (view, seq, digest)."""
 
     view: int
@@ -33,7 +34,7 @@ class Prepare:
 
 
 @dataclass(frozen=True)
-class Commit:
+class Commit(FieldsOnly):
     """A replica's commit vote for (view, seq, digest)."""
 
     view: int
@@ -46,7 +47,7 @@ class Commit:
 
 
 @dataclass(frozen=True)
-class PreparedProof:
+class PreparedProof(FieldsOnly):
     """Evidence that a batch prepared at a replica: the pre-prepare and
     ``2f`` matching prepares (carried inside view-change messages)."""
 
@@ -61,7 +62,7 @@ class PreparedProof:
 
 
 @dataclass(frozen=True)
-class BftViewChange:
+class BftViewChange(FieldsOnly):
     """A replica's vote to move to ``new_view``."""
 
     new_view: int
@@ -80,7 +81,7 @@ class BftViewChange:
 
 
 @dataclass(frozen=True)
-class BftNewView:
+class BftNewView(FieldsOnly):
     """New primary's installation message: the view-change quorum it
     collected and the pre-prepares it re-issues."""
 

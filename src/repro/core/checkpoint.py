@@ -27,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.messages import HEADER_BYTES
+from repro.crypto.canon import FieldsOnly
 
 
 @dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(FieldsOnly):
     """A process's claim: "after executing seq, my state digest is d"."""
 
     process: str

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.crypto.canon import FieldsOnly
 from repro.crypto.dealer import FailSignalBody
 from repro.crypto.signed import (
     SignedMessage,
@@ -77,7 +78,7 @@ ENTRY_BYTES = 40
 # Ordering messages
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class OrderEntry:
+class OrderEntry(FieldsOnly):
     """One order decision ``order<c, o, D(m)>`` (c lives on the batch)."""
 
     seq: int
@@ -87,7 +88,7 @@ class OrderEntry:
 
 
 @dataclass(frozen=True)
-class OrderBatch:
+class OrderBatch(FieldsOnly):
     """A batch of consecutive order decisions from coordinator ``rank``.
 
     ``batch_id`` is unique per (rank, first_seq) and used for latency
@@ -109,9 +110,21 @@ class OrderBatch:
     def payload_bytes(self) -> int:
         return HEADER_BYTES + ENTRY_BYTES * len(self.entries)
 
+    def __reduce__(self):
+        # The hot wire shape: one tuple of primitive rows, so pickling
+        # stays in C instead of calling a __reduce__ per entry.
+        rows = tuple([(e.seq, e.req_digest, e.client, e.req_id) for e in self.entries])
+        return order_batch, (self.rank, self.batch_id, rows)
+
+
+def order_batch(rank: int, batch_id: int, rows: tuple) -> OrderBatch:
+    """Rebuild an :class:`OrderBatch` from its wire form
+    ``(rank, batch_id, ((seq, req_digest, client, req_id), ...))``."""
+    return OrderBatch(rank, batch_id, tuple([OrderEntry(*row) for row in rows]))
+
 
 @dataclass(frozen=True)
-class Ack:
+class Ack(FieldsOnly):
     """N1's acknowledgement; carries the order it acknowledges."""
 
     acker: str
@@ -123,7 +136,7 @@ class Ack:
 
 
 @dataclass(frozen=True)
-class CommitProof:
+class CommitProof(FieldsOnly):
     """Proof of commitment: the distinct ack/order evidence retained by
     N3.  ``acks`` are the signed ack messages received; together with
     the order's own signers they name at least ``quorum`` distinct
@@ -154,7 +167,7 @@ class CommitProof:
 
 
 @dataclass(frozen=True)
-class BackLog:
+class BackLog(FieldsOnly):
     """IN1's recovery report from one process.
 
     Contains (a) the fail-signal that triggered the install, (b) the
@@ -180,7 +193,7 @@ class BackLog:
 
 
 @dataclass(frozen=True)
-class Start:
+class Start(FieldsOnly):
     """IN2's installation order from the new coordinator.
 
     Treated as an order message with sequence number ``start_seq``;
@@ -200,7 +213,7 @@ class Start:
 
 
 @dataclass(frozen=True)
-class StartSupport:
+class StartSupport(FieldsOnly):
     """IN3's identifier–signature tuple supporting a Start."""
 
     supporter: str
@@ -212,7 +225,7 @@ class StartSupport:
 
 
 @dataclass(frozen=True)
-class SupportBundle:
+class SupportBundle(FieldsOnly):
     """IN4's multicast of the collected support tuples."""
 
     new_rank: int
@@ -223,7 +236,7 @@ class SupportBundle:
 
 
 @dataclass(frozen=True)
-class CatchUpRequest:
+class CatchUpRequest(FieldsOnly):
     """A lagging process asks peers for committed orders it is missing."""
 
     requester: str
@@ -235,7 +248,7 @@ class CatchUpRequest:
 
 
 @dataclass(frozen=True)
-class CatchUpReply:
+class CatchUpReply(FieldsOnly):
     """Committed orders returned to a lagging process.  The requester
     accepts an order once ``f + 1`` distinct repliers agree on it."""
 
@@ -254,7 +267,7 @@ class CatchUpReply:
 # SCR extension messages (Section 4.4)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ViewChange:
+class ViewChange(FieldsOnly):
     """A vote to move to ``view``; carries the sender's backlog data."""
 
     sender: str
@@ -273,7 +286,7 @@ class ViewChange:
 
 
 @dataclass(frozen=True)
-class Unwilling:
+class Unwilling(FieldsOnly):
     """The candidate pair for ``view`` declines (its status is not up);
     includes its fail-signal as evidence."""
 
@@ -286,7 +299,7 @@ class Unwilling:
 
 
 @dataclass(frozen=True)
-class NewView:
+class NewView(FieldsOnly):
     """The SCR analogue of Start: installs ``view`` with a backlog."""
 
     view: int
@@ -306,7 +319,7 @@ class NewView:
 # Pair-internal messages (fast link)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class PairProposal:
+class PairProposal(FieldsOnly):
     """Coordinator replica -> shadow: an order awaiting endorsement."""
 
     order: SignedMessage  # singly-signed OrderBatch
@@ -317,7 +330,7 @@ class PairProposal:
 
 
 @dataclass(frozen=True)
-class PairStartProposal:
+class PairStartProposal(FieldsOnly):
     """New coordinator replica -> shadow: Start plus the ``n − f``
     BackLogs it was computed from (IN2)."""
 
@@ -334,7 +347,7 @@ class PairStartProposal:
 
 
 @dataclass(frozen=True)
-class PairForward:
+class PairForward(FieldsOnly):
     """Section 3.1 normal-form collaboration: a copy of a message the
     sender received/sent over the asynchronous network."""
 
@@ -347,7 +360,7 @@ class PairForward:
 
 
 @dataclass(frozen=True)
-class Heartbeat:
+class Heartbeat(FieldsOnly):
     """Pair liveness probe (drives SCR recovery detection)."""
 
     sender: str
@@ -358,7 +371,7 @@ class Heartbeat:
 
 
 @dataclass(frozen=True)
-class PairStatusUp:
+class PairStatusUp(FieldsOnly):
     """SCR: pair members agree their pair is operative again."""
 
     sender: str

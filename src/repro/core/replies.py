@@ -20,10 +20,11 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.core.messages import HEADER_BYTES, OrderEntry
+from repro.crypto.canon import FieldsOnly
 
 
 @dataclass(frozen=True)
-class Reply:
+class Reply(FieldsOnly):
     """One process's execution result for one client request."""
 
     replier: str

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.canon import encode_canonical
+from repro.crypto.canon import FieldsOnly, encode_canonical
 from repro.crypto.digests import digest
 
 
 @dataclass(frozen=True)
-class ClientRequest:
+class ClientRequest(FieldsOnly):
     """One request from a correct client.
 
     ``payload`` carries the operation for the deterministic state

@@ -20,18 +20,21 @@ and the encoding of a message never changes across runs or platforms.
 The test suite keeps a slow recursive rendering of this format as the
 oracle the encoder is compared against, byte for byte.
 
-Three ideas make the encoder fast:
+How the encoder is fast, and why its shortcuts can be trusted:
 
-* **single pass** — fragments are emitted straight into an output list
-  by an explicit work stack; there is no intermediate tree and no
-  recursion;
-* **per-class plans** — the sorted-key layout of a dataclass (the
-  ``{"__dc__": ...`` skeleton) is computed once per class and replayed
-  as precomputed literals;
-* **identity memo** — the finished fragment of a *frozen* dataclass is
-  cached on the instance itself, so the dominant hot-path pattern
-  (sign, countersign, then verify the same message object at several
-  receivers) encodes each object exactly once.
+* **one compiled encoder per class** — the first time a dataclass is
+  encoded, :func:`_compile` generates a function for it, the way
+  :mod:`dataclasses` generates ``__init__``: the sorted-key skeleton
+  becomes string literals, and each field is read and type-tested in
+  straight-line code (``int``, ``str`` and ``bytes`` inline, anything
+  else through one lookup in a table of per-type encoders);
+* **a local memo** — the finished fragment of a *frozen* dataclass is
+  cached on the instance, so the hot-path pattern (sign, countersign,
+  then verify the same message object, and embed it in acks) encodes
+  each object once.  Only this encoder writes the memo, in this
+  process: a wire message (:class:`FieldsOnly`) pickles as its fields
+  and refuses any other pickled state, so a memo never arrives in a
+  frame and a receiver always encodes what it was actually sent.
 
 The memo is only written for frozen dataclasses whose entire subtree is
 immutable (scalars, ``bytes``, tuples, and other frozen dataclasses); a
@@ -44,8 +47,9 @@ fragments — the cache is an encoding accelerator, never an input to it.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import CryptoError
 
@@ -54,36 +58,9 @@ _MEMO_ATTR = "_canon_fragment_"
 
 _INF = float("inf")
 
-# Work-stack opcodes: emit a literal, encode a value, close a memo frame.
-_LIT = 0
-_VAL = 1
-_END = 2
-
-#: Per-class emission plans: ``cls -> (parts, frozen)`` where ``parts``
-#: is a tuple of ``(literal, field_name | None)`` — the literal goes out
-#: first, then (when named) the field's encoded value.
-_PLANS: dict[type, tuple[tuple[tuple[str, str | None], ...], bool]] = {}
-
-
-def _build_plan(cls: type) -> tuple[tuple[tuple[str, str | None], ...], bool]:
-    """Precompute the sorted-key skeleton of one dataclass type."""
-    field_names = [f.name for f in dataclasses.fields(cls)]
-    keys = sorted(["__dc__", *field_names])
-    parts: list[tuple[str, str | None]] = []
-    literal = "{"
-    for i, key in enumerate(keys):
-        if i:
-            literal += ","
-        literal += _escape(key) + ":"
-        if key == "__dc__":
-            literal += _escape(cls.__name__)
-        else:
-            parts.append((literal, key))
-            literal = ""
-    parts.append((literal + "}", None))
-    plan = (tuple(parts), bool(cls.__dataclass_params__.frozen))
-    _PLANS[cls] = plan
-    return plan
+#: An encoder maps a value to ``(fragment, pure)``; ``pure`` is True
+#: when the value's whole subtree is immutable.
+Encoder = Callable[[Any], "tuple[str, bool]"]
 
 
 def _float_str(value: float) -> str:
@@ -98,179 +75,149 @@ def _float_str(value: float) -> str:
     return float.__repr__(value)
 
 
-def canonical_fragment(value: Any) -> str:
-    """The canonical JSON text of ``value`` (ASCII, sorted keys)."""
-    out: list[str] = []
-    append = out.append
-    stack: list[tuple[int, Any]] = [(_VAL, value)]
-    pop = stack.pop
-    push = stack.append
-    # Open memo frames: [start index in ``out``, still-pure flag, obj].
-    frames: list[list] = []
-
-    while stack:
-        op, v = pop()
-        if op == _LIT:
-            append(v)
-            continue
-        if op == _END:
-            start, pure, obj = frames.pop()
-            if pure:
-                fragment = "".join(out[start:])
-                del out[start:]
-                append(fragment)
-                try:
-                    object.__setattr__(obj, _MEMO_ATTR, fragment)
-                except (AttributeError, TypeError):
-                    pass  # __slots__ etc.: just skip the memo
-            elif frames:
-                frames[-1][1] = False  # impurity propagates outward
-            continue
-
-        t = v.__class__
-        if t is int:
-            append(int.__repr__(v))
-        elif t is str:
-            append(_escape(v))
-        elif t is bytes:
-            append('{"__bytes__":"' + v.hex() + '"}')
-        elif t is float:
-            append(_float_str(v))
-        elif t is bool:
-            append("true" if v else "false")
-        elif v is None:
-            append("null")
-        elif t is tuple:
-            _push_array(v, push)
-        elif t is list:
-            if frames:
-                frames[-1][1] = False
-            _push_array(v, push)
-        elif t is dict:
-            if frames:
-                frames[-1][1] = False
-            _push_dict(v, push)
-        else:
-            fragment = getattr(v, _MEMO_ATTR, None)
-            if fragment is not None and type(fragment) is str:
-                append(fragment)
-            else:
-                _encode_other(v, out, push, frames)
-    return "".join(out)
+def _fragment(value: Any) -> tuple[str, bool]:
+    """``value``'s canonical text and whether its subtree is immutable."""
+    cls = value.__class__
+    return (_ENCODERS.get(cls) or _resolve(cls))(value)
 
 
-def _push_array(items, push) -> None:
-    n = len(items)
-    if n == 0:
-        push((_LIT, "[]"))
-        return
-    push((_LIT, "]"))
-    for i in range(n - 1, -1, -1):
-        push((_VAL, items[i]))
-        if i:
-            push((_LIT, ","))
-    push((_LIT, "["))
+def _items(items, pure: bool) -> tuple[str, bool]:
+    get = _ENCODERS.get
+    parts = []
+    for item in items:
+        encoder = get(item.__class__) or _resolve(item.__class__)
+        text, item_pure = encoder(item)
+        parts.append(text)
+        if not item_pure:
+            pure = False
+    return "[" + ",".join(parts) + "]", pure
 
 
-def _push_dict(mapping: dict, push) -> None:
-    converted: dict[str, Any] = {}
-    for key, item in mapping.items():
-        if not isinstance(key, (str, int)):
-            raise CryptoError(f"unencodable dict key type {type(key).__name__}")
-        converted[str(key)] = item
-    items = sorted(converted.items())
-    n = len(items)
-    if n == 0:
-        push((_LIT, "{}"))
-        return
-    push((_LIT, "}"))
-    for i in range(n - 1, -1, -1):
-        key, item = items[i]
-        push((_VAL, item))
-        literal = _escape(key) + ":"
-        if i:
-            literal = "," + literal
-        push((_LIT, literal))
-    push((_LIT, "{"))
-
-
-def _encode_other(v: Any, out: list, push, frames) -> None:
-    """Dataclasses, builtin subclasses, and the unencodable."""
-    if dataclasses.is_dataclass(v) and not isinstance(v, type):
-        t = v.__class__
-        plan = _PLANS.get(t)
-        if plan is None:
-            plan = _build_plan(t)
-        parts, frozen = plan
-        if frozen:
-            # Flat fast path: a frozen dataclass whose field values are
-            # all scalars (the dominant leaf shapes — requests, order
-            # entries, acks) is a straight-line join, no work stack or
-            # memo frame needed.  Falls through on the first composite
-            # field value.
-            buf: list[str] = []
-            flat = True
-            for literal, field_name in parts:
-                buf.append(literal)
-                if field_name is None:
-                    continue
-                fv = getattr(v, field_name)
-                ft = fv.__class__
-                if ft is int:
-                    buf.append(int.__repr__(fv))
-                elif ft is str:
-                    buf.append(_escape(fv))
-                elif ft is bytes:
-                    buf.append('{"__bytes__":"' + fv.hex() + '"}')
-                elif ft is float:
-                    buf.append(_float_str(fv))
-                elif ft is bool:
-                    buf.append("true" if fv else "false")
-                elif fv is None:
-                    buf.append("null")
-                else:
-                    flat = False
-                    break
-            if flat:
-                fragment = "".join(buf)
-                out.append(fragment)
-                try:
-                    object.__setattr__(v, _MEMO_ATTR, fragment)
-                except (AttributeError, TypeError):
-                    pass  # __slots__ etc.: just skip the memo
-                return
-            push((_END, v))
-            frames.append([len(out), True, v])
-        elif frames:
-            frames[-1][1] = False
-        for literal, field_name in reversed(parts):
-            if field_name is not None:
-                push((_VAL, getattr(v, field_name)))
-            push((_LIT, literal))
-        return
-    # Subclasses of the builtin types take the reference's isinstance
-    # order: dataclasses first (above), then bytes, arrays, dicts, bool
-    # before int, then float and str.
-    if isinstance(v, bytes):
-        out.append('{"__bytes__":"' + v.hex() + '"}')
-    elif isinstance(v, (list, tuple)):
-        if frames and not isinstance(v, tuple):
-            frames[-1][1] = False
-        _push_array(v, push)
-    elif isinstance(v, dict):
-        if frames:
-            frames[-1][1] = False
-        _push_dict(v, push)
-    elif isinstance(v, bool):
-        out.append("true" if v else "false")
-    elif isinstance(v, int):
-        out.append(int.__repr__(v))
-    elif isinstance(v, float):
-        out.append(_float_str(v))
-    elif isinstance(v, str):
-        out.append(_escape(v))
+def _dict(mapping: dict) -> tuple[str, bool]:
+    if all(type(key) is str for key in mapping):
+        items = sorted(mapping.items())
     else:
-        raise CryptoError(f"unencodable value of type {type(v).__name__}")
+        converted: dict[str, Any] = {}
+        for key, item in mapping.items():
+            if not isinstance(key, (str, int)):
+                raise CryptoError(f"unencodable dict key type {type(key).__name__}")
+            converted[str(key)] = item
+        items = sorted(converted.items())
+    get = _ENCODERS.get
+    parts = []
+    for key, item in items:
+        encoder = get(item.__class__) or _resolve(item.__class__)
+        parts.append(_escape(key) + ":" + encoder(item)[0])
+    return "{" + ",".join(parts) + "}", False
+
+
+def _bytes(value: bytes) -> tuple[str, bool]:
+    return '{"__bytes__":"' + value.hex() + '"}', True
+
+
+#: Exact type -> encoder.  The builtins are fixed; a dataclass gains its
+#: compiled encoder and any other type its fallback on first use.
+_ENCODERS: dict[type, Encoder] = {
+    int: lambda v: (int.__repr__(v), True),
+    str: lambda v: (_escape(v), True),
+    bytes: _bytes,
+    float: lambda v: (_float_str(v), True),
+    bool: lambda v: ("true" if v else "false", True),
+    type(None): lambda v: ("null", True),
+    tuple: lambda v: _items(v, True),
+    list: lambda v: _items(v, False),
+    dict: _dict,
+}
+
+
+def _resolve(cls: type) -> Encoder:
+    """The encoder for a type not in the table yet (then cached)."""
+    if dataclasses.is_dataclass(cls):
+        encoder = _compile(cls)
+    else:
+        encoder = _builtin_subclass
+    _ENCODERS[cls] = encoder
+    return encoder
+
+
+def _builtin_subclass(value: Any) -> tuple[str, bool]:
+    """Subclasses of the builtin types take the reference's isinstance
+    order: bytes, arrays, dicts, bool before int, then float and str."""
+    if isinstance(value, bytes):
+        return _bytes(value)
+    if isinstance(value, tuple):
+        return _items(value, True)
+    if isinstance(value, list):
+        return _items(value, False)
+    if isinstance(value, dict):
+        return _dict(value)
+    if isinstance(value, bool):
+        return ("true" if value else "false"), True
+    if isinstance(value, int):
+        return int.__repr__(value), True
+    if isinstance(value, float):
+        return _float_str(value), True
+    if isinstance(value, str):
+        return _escape(value), True
+    raise CryptoError(f"unencodable value of type {type(value).__name__}")
+
+
+def _compile(cls: type) -> Encoder:
+    """Generate the straight-line encoder of one dataclass type."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    frozen = bool(cls.__dataclass_params__.frozen)
+    memo = frozen and cls.__dictoffset__ != 0
+    lines = ["def encode(v):"]
+    if memo:
+        lines += [
+            "    d = v.__dict__",
+            "    m = d.get(_MEMO)",
+            "    if m is not None:",
+            "        return m, True",
+        ]
+    lines.append(f"    pure = {frozen}")
+    pieces = []
+    literal = "{"
+    for i, key in enumerate(sorted(["__dc__", *names])):
+        if i:
+            literal += ","
+        literal += _escape(key) + ":"
+        if key == "__dc__":
+            literal += _escape(cls.__name__)
+            continue
+        pieces.append(repr(literal))
+        literal = ""
+        var = f"s{len(pieces)}"
+        pieces.append(var)
+        lines += [
+            f"    x = v.{key}",
+            "    t = x.__class__",
+            "    if t is int:",
+            f"        {var} = int.__repr__(x)",
+            "    elif t is str:",
+            f"        {var} = _escape(x)",
+            "    elif t is bytes:",
+            f"        {var} = '{{\"__bytes__\":\"' + x.hex() + '\"}}'",
+            "    else:",
+            f"        {var}, p = (_get(t) or _resolve(t))(x)",
+            "        if not p:",
+            "            pure = False",
+        ]
+    pieces.append(repr(literal + "}"))
+    lines.append("    text = " + " + ".join(pieces))
+    if memo:
+        lines += ["    if pure:", "        d[_MEMO] = text"]
+    lines.append("    return text, pure")
+    scope = {
+        "_get": _ENCODERS.get,
+        "_resolve": _resolve,
+        "_escape": _escape,
+        "_MEMO": _MEMO_ATTR,
+    }
+    exec("\n".join(lines), scope)  # noqa: S102 - generated from field names
+    encode = scope["encode"]
+    encode.__qualname__ = f"encode_{cls.__name__}"
+    return encode
 
 
 def encode_canonical(value: Any) -> bytes:
@@ -279,7 +226,7 @@ def encode_canonical(value: Any) -> bytes:
     >>> encode_canonical({"b": 1, "a": 2})
     b'{"a":2,"b":1}'
     """
-    return canonical_fragment(value).encode("ascii")
+    return _fragment(value)[0].encode("ascii")
 
 
 def memoized_fragment(value: Any) -> str | None:
@@ -301,19 +248,71 @@ def strip_memo(value: Any) -> None:
     """Recursively delete cached fragments from an object graph.
 
     Benchmark support: measuring the cold encoder requires an actually
-    cold object (``copy.deepcopy`` copies the memo attributes along
-    with everything else).
+    cold object.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        try:
-            object.__delattr__(value, _MEMO_ATTR)
-        except AttributeError:
-            pass
-        for f in dataclasses.fields(value):
-            strip_memo(getattr(value, f.name))
+    t = value.__class__
+    if t is tuple or t is list:
+        for item in value:
+            strip_memo(item)
+    elif t is dict:
+        for item in value.values():
+            strip_memo(item)
+    elif dataclasses.is_dataclass(t):
+        getattr(value, "__dict__", {}).pop(_MEMO_ATTR, None)
+        for name in _field_names(t):
+            strip_memo(getattr(value, name))
     elif isinstance(value, (tuple, list)):
         for item in value:
             strip_memo(item)
     elif isinstance(value, dict):
         for item in value.values():
             strip_memo(item)
+
+
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _field_names(cls: type) -> tuple[str, ...]:
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    return names
+
+
+# ----------------------------------------------------------------------
+# The wire form: fields only
+# ----------------------------------------------------------------------
+#: Per class: a function returning an instance's field values, in order.
+_FIELD_GETTERS: dict[type, Callable[[Any], tuple]] = {}
+
+
+class FieldsOnly:
+    """Base of every wire message: its fields are its one representation.
+
+    Pickling — a wire frame, a deep copy — ships the constructor
+    arguments and nothing else, so what an instance caches about itself
+    (the encoder's memo, a digest, a size) stays in the process that
+    computed it.  Unpickling refuses any extra state, so a frame cannot
+    plant such a cache either: a receiver re-derives everything a
+    signature or digest covers from the fields it was sent.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        cls = self.__class__
+        fields = _FIELD_GETTERS.get(cls)
+        if fields is None:
+            names = _field_names(cls)
+            # attrgetter of several names returns their tuple, in C.
+            fields = _FIELD_GETTERS[cls] = (
+                operator.attrgetter(*names) if len(names) > 1
+                else lambda obj: tuple([getattr(obj, name) for name in names])
+            )
+        return cls, fields(self)
+
+    def __setstate__(self, state: Any) -> None:
+        raise TypeError(
+            f"{type(self).__name__} is rebuilt from its fields alone; "
+            f"refusing pickled state"
+        )

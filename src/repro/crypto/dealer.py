@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.crypto.canon import FieldsOnly
 from repro.crypto.schemes import CryptoScheme
 from repro.crypto.signed import signing_bytes
 from repro.crypto.signing import (
@@ -25,7 +26,7 @@ from repro.errors import ConfigError
 
 
 @dataclass(frozen=True)
-class FailSignalBody:
+class FailSignalBody(FieldsOnly):
     """Content of a fail-signal blank (pre-signed by the dealer).
 
     ``first_signer`` is the process whose signature the dealer applied;

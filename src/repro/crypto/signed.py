@@ -13,13 +13,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
-from repro.crypto.canon import encode_canonical, memoized_fragment
+from repro.crypto.canon import FieldsOnly, encode_canonical, memoized_fragment
 from repro.crypto.signing import Signature, SignatureProvider
 from repro.errors import VerificationError
 
 
 @dataclass(frozen=True)
-class SignedMessage:
+class SignedMessage(FieldsOnly):
     """A body plus one or more signatures applied in sequence."""
 
     body: Any
@@ -32,6 +32,17 @@ class SignedMessage:
     @property
     def signature_bytes(self) -> int:
         return sum(sig.size_bytes for sig in self.signatures)
+
+    def __reduce__(self):
+        # Wire shape: the body, then one primitive row per signature.
+        rows = tuple([(s.signer, s.scheme, s.value) for s in self.signatures])
+        return signed_message, (self.body, rows)
+
+
+def signed_message(body: Any, rows: tuple) -> SignedMessage:
+    """Rebuild a :class:`SignedMessage` from its wire form
+    ``(body, ((signer, scheme, value), ...))``."""
+    return SignedMessage(body, tuple([Signature(*row) for row in rows]))
 
 
 def _signing_bytes_uncached(body: Any, prior: tuple[Signature, ...]) -> bytes:

@@ -24,13 +24,14 @@ import random
 from dataclasses import dataclass
 
 from repro.crypto import dsa, rsa
+from repro.crypto.canon import FieldsOnly
 from repro.crypto.keys import DsaParameters
 from repro.crypto.schemes import CryptoScheme
 from repro.errors import ConfigError, CryptoError
 
 
 @dataclass(frozen=True)
-class Signature:
+class Signature(FieldsOnly):
     """One signature: who signed, under which scheme, and the raw value."""
 
     signer: str

@@ -89,13 +89,17 @@ class LiveTransport:
         self._reader_tasks: set[asyncio.Task] = set()
         self._closed = False
         # messages_sent / frames_delivered count protocol messages
-        # (accepted by send / handed to an actor); the wire_* pair
-        # counts the frames that crossed a socket after the hello.
+        # (accepted by send / handed to an actor); the wire_* counters
+        # count the frames, and their framed bytes, that crossed a
+        # socket after the hello.  bytes_sent sums the simulator's size
+        # estimates (payload_bytes) of the messages sent, not wire bytes.
         self.messages_sent = 0
         self.bytes_sent = 0
         self.frames_delivered = 0
         self.wire_frames_out = 0
         self.wire_frames_in = 0
+        self.wire_bytes_out = 0
+        self.wire_bytes_in = 0
         # Handlers for non-"msg" frame kinds (state transfer, control):
         # kind -> callable(frame, reply_writer | None).
         self._control: dict[str, Callable[[tuple, Any], None]] = {}
@@ -138,14 +142,16 @@ class LiveTransport:
         return list(self._actors)
 
     def counters(self) -> dict[str, int]:
-        """Messages against wire frames, both directions: a ratio of
-        ``wire_frames_out`` to ``messages_sent`` near 1.0 on a busy
-        node means coalescing has stopped working."""
+        """Messages against wire frames and bytes, both directions: a
+        ratio of ``wire_frames_out`` to ``messages_sent`` near 1.0 on a
+        busy node means coalescing has stopped working."""
         return {
             "messages_sent": self.messages_sent,
             "frames_delivered": self.frames_delivered,
             "wire_frames_out": self.wire_frames_out,
             "wire_frames_in": self.wire_frames_in,
+            "wire_bytes_out": self.wire_bytes_out,
+            "wire_bytes_in": self.wire_bytes_in,
         }
 
     def set_link(self, src: str, dst: str, model: Any) -> None:
@@ -219,7 +225,8 @@ class LiveTransport:
             peer = hello[1]
             self._routes[peer] = writer
             while True:
-                frame = await framing.read_frame(reader)
+                frame, size = await framing.read_sized_frame(reader)
+                self.wire_bytes_in += size
                 self._note_activity(peer)
                 self._dispatch_frame(frame, writer)
         except (framing.PeerLost, framing.AuthenticationError, OSError):
@@ -386,7 +393,7 @@ class LiveTransport:
         as itself, several as one ``many``."""
         frame = frames[0] if len(frames) == 1 else ("many", tuple(frames))
         try:
-            framing.write_frame(writer, frame)
+            size = framing.write_frame(writer, frame)
         except ConfigError as exc:
             # Over MAX_FRAME_BYTES: the peer would drop the connection.
             # Send what fits by itself and say what does not.
@@ -397,6 +404,7 @@ class LiveTransport:
                 print(f"{self.name}: dropped {exc}", file=sys.stderr, flush=True)
         else:
             self.wire_frames_out += 1
+            self.wire_bytes_out += size
 
     async def _channel(self, dest: str, queue: asyncio.Queue) -> None:
         """Outbound connection to one peer: dial, handshake, drain the
@@ -471,7 +479,8 @@ class LiveTransport:
         replica answering over the connection we opened first)."""
         try:
             while True:
-                frame = await framing.read_frame(reader)
+                frame, size = await framing.read_sized_frame(reader)
+                self.wire_bytes_in += size
                 self._note_activity(peer)
                 self._dispatch_frame(frame)
         except (framing.PeerLost, OSError, asyncio.CancelledError):

@@ -231,13 +231,17 @@ def test_rpr004_unrolling_a_many_frame_by_hand_is_flagged():
 
 def test_rpr004_framing_must_bound_before_unpickling():
     bounded = (
+        "import io\n"
         "import pickle\n"
         "MAX_FRAME_BYTES = 1 << 20\n\n\n"
+        "class _WireUnpickler(pickle.Unpickler):\n"
+        "    def find_class(self, module, name):\n"
+        "        raise pickle.UnpicklingError(name)\n\n\n"
         "def read_frame(sock):\n"
         "    n = peek_len(sock)\n"
         "    if n > MAX_FRAME_BYTES:\n"
         "        raise ValueError(n)\n"
-        "    return pickle.loads(recv_exact(sock, n))\n"
+        "    return _WireUnpickler(io.BytesIO(recv_exact(sock, n))).load()\n"
     )
     assert actives(lint_one("repro/net/framing.py", bounded), "RPR004") == []
 
@@ -250,6 +254,39 @@ def test_rpr004_framing_must_bound_before_unpickling():
     found = actives(lint_one("repro/net/framing.py", unbounded), "RPR004")
     # Both the unpickle and the raw variable-length read are flagged.
     assert len(found) == 2
+
+
+def test_rpr004_framing_decodes_through_the_restricted_unpickler_only():
+    # Good: the one restricted decoder, spelled any way.
+    good = (
+        "import io\n"
+        "from pickle import Unpickler\n\n\n"
+        "class _WireUnpickler(Unpickler):\n"
+        "    def find_class(self, module, name):\n"
+        "        raise LookupError(name)\n\n\n"
+        "def decode_frame(data):\n"
+        "    return _WireUnpickler(io.BytesIO(data)).load()\n"
+    )
+    assert actives(lint_one("repro/net/framing.py", good), "RPR004") == []
+
+    # Bad: a bounded frame read that still decodes around it.
+    bad = (
+        "import io\n"
+        "import pickle as pk\n"
+        "MAX_FRAME_BYTES = 1 << 20\n\n\n"
+        "class Lenient(pk.Unpickler):\n"
+        "    pass\n\n\n"
+        "def read_frame(data):\n"
+        "    if len(data) > MAX_FRAME_BYTES:\n"
+        "        raise ValueError(len(data))\n"
+        "    a = pk.loads(data)\n"
+        "    b = pk.Unpickler(io.BytesIO(data)).load()\n"
+        "    return a, b, Lenient(io.BytesIO(data)).load()\n"
+    )
+    found = actives(lint_one("repro/net/framing.py", bad), "RPR004")
+    assert [f.line for f in found] == [6, 13, 14]
+    assert "Lenient" in found[0].message
+    assert all("_WireUnpickler" in f.message for f in found)
 
 
 def test_rpr004_fixed_size_reads_need_no_bound():

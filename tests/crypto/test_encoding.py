@@ -4,8 +4,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.crypto.canon import encode_canonical
+from repro.crypto.canon import encode_canonical, memoized_fragment
 from repro.errors import CryptoError
+from tests.crypto.oracle import reference_canonical_bytes
 
 
 @dataclass(frozen=True)
@@ -60,3 +61,22 @@ def test_unencodable_dict_key_rejected():
 
 def test_int_keys_stringified():
     assert encode_canonical({1: "a"}) == b'{"1":"a"}'
+
+
+@dataclass(frozen=True)
+class Holder:
+    points: tuple[Point, ...]
+    first: Point
+
+
+def test_generated_encoder_checks_each_value_not_the_annotation():
+    """A class's compiled encoder inlines ``int``/``str``/``bytes``
+    fields by their runtime type only: values that do not match the
+    annotations take the general path, and a mutable value keeps the
+    holder out of the memo."""
+    typed = Holder(points=(Point(1, 2), Point(3, 4)), first=Point(5, 6))
+    odd = Holder(points=(Point(1, 2), "x", (3, b"\x01")), first=[1, None])
+    for value in (typed, odd):
+        assert encode_canonical(value) == reference_canonical_bytes(value)
+    assert memoized_fragment(typed) is not None
+    assert memoized_fragment(odd) is None

@@ -17,6 +17,8 @@ import asyncio
 import gc
 import pickle
 
+from repro.harness.perf import sample_hotpath_message
+
 from repro.live import transport as transport_mod
 from repro.live.transport import MAX_COALESCED_FRAMES, LiveTransport
 from repro.net import framing
@@ -104,8 +106,7 @@ class RawListener:
                 header = await reader.readexactly(framing.LEN.size)
                 body = await reader.readexactly(framing.LEN.unpack(header)[0])
                 self.raw += header + body
-                # repro: allow[RPR004] bytes this test's own transport wrote, kept raw for comparison
-                frames.append(pickle.loads(body))
+                frames.append(framing.decode_frame(body))
         except (asyncio.IncompleteReadError, OSError):
             pass
         finally:
@@ -145,9 +146,12 @@ def test_one_turn_of_route_sends_is_one_wire_frame_in_order():
         assert a_sink.got == [("b", i) for i in range(10)]
         assert a.wire_frames_in == 1
         assert b.wire_frames_out == 1
+        coalesced = ("many", tuple(("msg", "b", "a", i) for i in range(10)))
         assert b.counters() == {
             "messages_sent": 10, "frames_delivered": 1,
             "wire_frames_out": 1, "wire_frames_in": 1,
+            "wire_bytes_out": len(framing.encode_frame(coalesced)),
+            "wire_bytes_in": len(framing.encode_frame(("msg", "a", "b", "dial"))),
         }
         await a.close()
         await b.close()
@@ -231,6 +235,27 @@ def test_a_nested_many_is_dropped_not_unrolled():
         assert b_sink.got == [("raw", 1), ("raw", 3), ("raw", 5)]
         assert b.wire_frames_in == 3 and b.frames_delivered == 3
         writer.close()
+        await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_doubly_signed_order_moves_as_its_fields():
+    """One 16-entry doubly-signed order a -> b is at most 1.5 KB on the
+    wire: fields only, no encoder memos, counted on both ends."""
+
+    async def scenario():
+        a, _, b, b_sink = await _pair()
+        out_before, in_before = a.wire_bytes_out, b.wire_bytes_in
+        order = sample_hotpath_message(n_entries=16)
+        a.send("a", "b", order, 0)
+        await _until(lambda: b_sink.got)
+        assert b_sink.got == [("a", order)]
+        moved = a.wire_bytes_out - out_before
+        assert moved == b.wire_bytes_in - in_before
+        assert moved == len(framing.encode_frame(("msg", "a", "b", order)))
+        assert moved <= 1536
+        await a.close()
         await b.close()
 
     asyncio.run(scenario())

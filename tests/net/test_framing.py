@@ -323,28 +323,23 @@ def test_bind_gate_requires_key_off_loopback():
 
 
 # ----------------------------------------------------------------------
-# Known bug: encoder memos ride the wire
+# Sign what you ship: a frame carries fields, never derived state
 # ----------------------------------------------------------------------
-@pytest.mark.xfail(
-    strict=True,
-    reason="default pickling ships __dict__, so a received message carries the "
-    "sender's _canon_fragment_ memo and canonical_fragment trusts it: signature "
-    "checks read the memo, not the fields (ROADMAP, Known bugs)",
-)
+def _over_the_wire(obj):
+    a, b = _pair()
+    try:
+        send_msg(a, obj)
+        return recv_msg(b)
+    finally:
+        a.close()
+        b.close()
+
+
 def test_signature_check_reads_the_fields_not_a_shipped_memo():
     from repro.core.messages import OrderBatch, OrderEntry, countersign, sign_message
     from repro.core.messages import verify_signed
     from repro.crypto.dealer import TrustedDealer
     from repro.crypto.schemes import scheme_by_name
-
-    def over_the_wire(obj):
-        a, b = _pair()
-        try:
-            send_msg(a, obj)
-            return recv_msg(b)
-        finally:
-            a.close()
-            b.close()
 
     pair = ("p1", "p1'")
     provider = TrustedDealer(
@@ -354,11 +349,109 @@ def test_signature_check_reads_the_fields_not_a_shipped_memo():
     order = countersign(
         provider, pair[1], sign_message(provider, pair[0], OrderBatch(1, 1, entries))
     )
-    received = over_the_wire(order)
+    received = _over_the_wire(order)
     assert verify_signed(provider, received, pair)
     # A relay rewrites what is ordered and leaves the memo alone.
     forged = tuple(OrderEntry(e.seq, b"\xff" * 16, e.client, e.req_id) for e in entries)
     object.__setattr__(received.body, "entries", forged)
-    got = over_the_wire(received)
+    got = _over_the_wire(received)
     assert got.body.entries == forged
     assert not verify_signed(provider, got, pair)
+
+
+def test_a_request_comes_back_with_caches_derived_from_its_fields():
+    from repro.core.requests import ClientRequest
+    from repro.crypto.canon import encode_canonical
+    from repro.crypto.digests import digest
+
+    request = ClientRequest(client="c1", req_id=7, payload=b"op")
+    request.digest_under("md5")
+    # A relay plants a digest and an identity the fields do not have.
+    request.__dict__["_digest_cache_"]["md5"] = b"\x00" * 16
+    object.__setattr__(request, "key", ("c9", 99))
+    got = _over_the_wire(request)
+    assert got == request
+    assert got.digest_under("md5") == digest("md5", encode_canonical(got))
+    assert got.digest_under("md5") != b"\x00" * 16
+    assert got.key == ("c1", 7)
+
+
+_CALLED: list[str] = []
+
+
+class _Smuggler:
+    """Pickles to a call of a global outside the wire vocabulary."""
+
+    def __init__(self, target) -> None:
+        self.target = target
+
+    def __reduce__(self):
+        return (self.target, ("echo smuggled",))
+
+
+def _refused_frames() -> list[bytes]:
+    import os
+    import pickle
+
+    frames = [pickle.dumps(("msg", "p1", "p2", _Smuggler(os.system)))]
+    frames.append(pickle.dumps(_Smuggler(_CALLED.append)))
+    return frames
+
+
+def test_a_frame_naming_a_global_outside_the_allow_list_is_refused():
+    del _CALLED[:]
+    for data in _refused_frames():
+        a, b = _pair()
+        try:
+            a.sendall(framing.LEN.pack(len(data)) + data)
+            with pytest.raises(PeerLost, match="not a wire class"):
+                recv_msg(b)
+        finally:
+            a.close()
+            b.close()
+
+    async def scenario():
+        outcomes = []
+
+        async def serve(reader, writer):
+            try:
+                await framing.read_frame(reader)
+            except PeerLost as exc:
+                outcomes.append(exc)
+            writer.close()
+
+        server = await asyncio.start_server(serve, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        for data in _refused_frames():
+            _, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(framing.LEN.pack(len(data)) + data)
+            await writer.drain()
+            await asyncio.sleep(0.05)
+            writer.close()
+        server.close()
+        return outcomes
+
+    outcomes = asyncio.run(scenario())
+    assert len(outcomes) == 2
+    assert all("not a wire class" in str(exc) for exc in outcomes)
+    assert _CALLED == []
+
+
+def test_a_frame_cannot_plant_state_on_a_wire_message():
+    """Pickle's BUILD opcode would set attributes after construction;
+    a wire message refuses it, so no frame can carry a memo."""
+    import pickle
+
+    from repro.core.messages import Heartbeat
+
+    legit = pickle.dumps(Heartbeat(sender="p1", nonce=1), protocol=2)
+    assert legit.endswith(b".")
+    # Append "state dict, BUILD" before STOP.
+    planted = (
+        legit[:-1]
+        + pickle.dumps({"_canon_fragment_": "forged"}, protocol=2)[2:-1]
+        + pickle.BUILD
+        + pickle.STOP
+    )
+    with pytest.raises(PeerLost, match="refusing pickled state"):
+        framing.decode_frame(planted)

@@ -42,6 +42,7 @@ from repro.core.messages import (
     SupportBundle,
     Unwilling,
     ViewChange,
+    payload_size,
 )
 from repro.core.replies import Reply
 from repro.core.requests import ClientRequest
@@ -51,6 +52,7 @@ from repro.crypto.schemes import MD5_RSA_1024
 from repro.crypto.signed import countersign, sign_message
 from repro.crypto.signing import SimulatedSignatureProvider
 from repro.net.codec import registry
+from repro.net.framing import LEN, decode_frame, encode_frame
 from tests.crypto.oracle import reference_canonical_bytes
 
 provider = SimulatedSignatureProvider(MD5_RSA_1024, ["p1", "p1'", "p2", "p2'"])
@@ -282,3 +284,18 @@ def test_memo_never_caches_through_mutable_fields():
     after = encode_canonical(holder)
     assert before != after
     assert after == reference_canonical_bytes(holder)
+
+
+def test_every_registered_message_class_ships_its_fields_only():
+    """A frame carries a message's fields and none of what the sender
+    derived from them; the receiver's canonical bytes match the
+    sender's because it encodes the same fields."""
+    for obj in sample_instances():
+        warm = encode_canonical(obj)
+        payload_size(obj)
+        frame = encode_frame(obj)
+        for derived in (b"_canon_fragment_", b"_digest_cache_", b"_payload_size_"):
+            assert derived not in frame, (type(obj).__name__, derived)
+        received = decode_frame(frame[LEN.size:])
+        assert received == obj
+        assert encode_canonical(received) == warm
