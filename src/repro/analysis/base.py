@@ -108,10 +108,6 @@ class SourceFile:
                 ) from None
         return self._tree
 
-    @property
-    def lines(self) -> list[str]:
-        return self.text.splitlines()
-
     def _comments(self) -> Iterable[tuple[int, str, bool]]:
         """Real comment tokens as ``(line, text, standalone)`` — a
         pragma-looking string inside a docstring is not a pragma."""

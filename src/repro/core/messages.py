@@ -31,7 +31,6 @@ from repro.crypto.dealer import FailSignalBody
 from repro.crypto.signed import (
     SignedMessage,
     countersign,
-    require_signed,
     sign_message,
     signing_bytes,
     verify_signed,
@@ -62,7 +61,6 @@ __all__ = [
     "ViewChange",
     "countersign",
     "payload_size",
-    "require_signed",
     "sign_message",
     "signing_bytes",
     "verify_signed",

@@ -6,10 +6,6 @@ committed order entries **in sequence order** and folds them into a
 running state digest; two replicas that processed the same prefix have
 equal digests, which is the safety property the integration tests
 assert.
-
-A richer machine (:class:`KeyValueStateMachine`) executes request
-payloads of the form ``set <key> <value>`` / ``del <key>`` and is used
-by the examples to show end-to-end replication.
 """
 
 from __future__ import annotations
@@ -53,28 +49,3 @@ class ReplicatedStateMachine:
     def __len__(self) -> int:
         return len(self.history)
 
-
-class KeyValueStateMachine(ReplicatedStateMachine):
-    """A small key-value store executed from request payloads.
-
-    Payload grammar (ASCII): ``set <key> <value>`` or ``del <key>``.
-    Unparseable payloads are ignored but still digested, so replicas
-    stay consistent even on junk input.
-    """
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self.data: dict[str, str] = {}
-
-    def execute_payload(self, entry: OrderEntry, payload: bytes) -> None:
-        """Apply the entry and interpret its payload."""
-        self.apply(entry)
-        try:
-            text = payload.decode("ascii")
-        except UnicodeDecodeError:
-            return
-        parts = text.split(" ", 2)
-        if len(parts) == 3 and parts[0] == "set":
-            self.data[parts[1]] = parts[2]
-        elif len(parts) == 2 and parts[0] == "del":
-            self.data.pop(parts[1], None)

@@ -12,10 +12,6 @@ class RsaPublicKey:
     n: int
     e: int
 
-    @property
-    def bits(self) -> int:
-        return self.n.bit_length()
-
 
 @dataclass(frozen=True)
 class RsaKeyPair:
@@ -40,10 +36,6 @@ class DsaParameters:
     p: int
     q: int
     g: int
-
-    @property
-    def bits(self) -> int:
-        return self.p.bit_length()
 
 
 @dataclass(frozen=True)

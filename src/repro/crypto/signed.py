@@ -15,7 +15,6 @@ from typing import Any
 
 from repro.crypto.canon import FieldsOnly, encode_canonical, memoized_fragment
 from repro.crypto.signing import Signature, SignatureProvider
-from repro.errors import VerificationError
 
 
 @dataclass(frozen=True)
@@ -117,15 +116,3 @@ def verify_signed(
         if not provider.verify(signature, data, signature.signer):
             return False
     return True
-
-
-def require_signed(
-    provider: SignatureProvider,
-    message: SignedMessage,
-    expected_signers: tuple[str, ...] | None = None,
-) -> None:
-    """Raise :class:`VerificationError` unless the chain verifies."""
-    if not verify_signed(provider, message, expected_signers):
-        raise VerificationError(
-            f"signature chain {message.signers} failed verification"
-        )

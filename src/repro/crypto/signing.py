@@ -102,14 +102,6 @@ class SimulatedSignatureProvider(SignatureProvider):
             return False
         return hmac.compare_digest(signature.value, self._token(claimed_signer, data))
 
-    def forge(self, victim: str, data: bytes) -> Signature:
-        """What a Byzantine process can do: fabricate a signature object
-        *without* the victim's secret.  Guaranteed not to verify."""
-        bogus = hashlib.sha256(b"forged:" + data).digest()
-        width = max(self.scheme.signature_bytes, len(bogus))
-        value = (bogus * (width // len(bogus) + 1))[:width]
-        return Signature(signer=victim, scheme=self.scheme.name, value=value)
-
 
 class RealSignatureProvider(SignatureProvider):
     """Actual RSA/DSA signatures using the from-scratch implementations.

@@ -47,7 +47,6 @@ from repro.harness.probes import (
     ProbeReport,
 )
 from repro.harness.runner import scenario_grid
-from repro.harness.stats import Summary, repeat_order_experiment, summarize
 from repro.harness.workload import OpenLoopWorkload, saturating_rate
 
 __all__ = [
@@ -61,14 +60,11 @@ __all__ = [
     "OpenLoopWorkload",
     "ScenarioResult",
     "ScenarioSpec",
-    "Summary",
     "build_cluster",
     "build_scenario",
     "load_spec",
     "run_scenario",
     "scenario_grid",
     "linear_fit",
-    "repeat_order_experiment",
     "saturating_rate",
-    "summarize",
 ]

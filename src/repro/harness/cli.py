@@ -416,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ReproError as exc:
+    except (ReproError, ConnectionError) as exc:  # PeerLost, AuthenticationError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

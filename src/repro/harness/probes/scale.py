@@ -9,8 +9,7 @@ per-batch measurements cannot answer —
   population, or do Zipf-head clients crowd out the tail?  Jain's
   fairness index plus dispersion of per-client mean latencies.
 * ``queue-depth`` — how deep does the coordinator's unordered queue
-  run under diurnal/flash-crowd envelopes?  Mean/p95/max occupancy
-  and a full time series.
+  run under diurnal/flash-crowd envelopes?  Mean/p95/max occupancy.
 * ``crypto-cost`` — where do the signature cycles go?  Sign/verify
   counts and CPU seconds attributed per protocol phase (ordering,
   failover, checkpointing, replies).
@@ -21,7 +20,7 @@ batch bookkeeping, never by the trace.
 
 from __future__ import annotations
 
-from repro.harness.probes.base import MetricSeries, Probe, ProbeContext
+from repro.harness.probes.base import Probe, ProbeContext
 from repro.harness.probes.registry import register
 from repro.sim.trace import TraceRecord
 
@@ -131,10 +130,7 @@ class QueueDepthProbe(Probe):
 
     name = "queue-depth"
     kinds = frozenset({"queue_depth"})
-    description = (
-        "unordered-queue occupancy at each batch tick: mean/p95/max "
-        "plus the full time series"
-    )
+    description = "unordered-queue occupancy at each batch tick: mean/p95/max"
     provides = ("queue_depth_mean", "queue_depth_p95", "queue_depth_max")
     directions = {}
     scale_only = True
@@ -159,9 +155,6 @@ class QueueDepthProbe(Probe):
             "queue_depth_p95": _percentile(depths, 0.95),
             "queue_depth_max": depths[-1],
         }
-
-    def series(self) -> tuple[MetricSeries, ...]:
-        return (MetricSeries(name="queue_depth", points=tuple(self._points)),)
 
 
 #: Message type -> protocol phase, for cost attribution.  Types absent

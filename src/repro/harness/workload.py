@@ -80,37 +80,10 @@ def saturating_rate(batch_size_bytes: int, request_bytes: int, batching_interval
 
     This models a **single coordinator batch stream** — the four seed
     protocols all drain one ordered queue — so the rate is aggregate,
-    not per-class.  Multi-class populations that want saturation split
-    by traffic share use :func:`saturating_rate_per_class`.
+    not per-class.
     """
     per_batch = max(1, batch_size_bytes // request_bytes)
     return headroom * per_batch / batching_interval
-
-
-def saturating_rate_per_class(
-    batch_size_bytes: int,
-    request_bytes: int,
-    batching_interval: float,
-    shares: dict[str, float],
-    headroom: float = 1.3,
-) -> dict[str, float]:
-    """Split one coordinator's saturating rate across traffic classes.
-
-    All classes feed the same unordered queue (there is one batch
-    stream, see :func:`saturating_rate`), so the *aggregate* saturates
-    the coordinator and each class receives its share of that
-    aggregate — flash-crowd specs can target saturation per class
-    without overdriving the queue ``k`` times over.
-    """
-    if not shares:
-        raise ConfigError("saturating_rate_per_class needs at least one class share")
-    if any(share <= 0 for share in shares.values()):
-        raise ConfigError(f"class shares must be > 0, got {shares}")
-    aggregate = saturating_rate(
-        batch_size_bytes, request_bytes, batching_interval, headroom
-    )
-    total = sum(shares.values())
-    return {name: aggregate * share / total for name, share in shares.items()}
 
 
 class OpenLoopWorkload:

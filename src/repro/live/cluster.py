@@ -598,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return cmd_serve(args)
-    except ReproError as exc:
+    except (ReproError, ConnectionError) as exc:  # PeerLost, AuthenticationError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -83,10 +83,6 @@ class LiveTimer:
     def active(self) -> bool:
         return self._state == "pending"
 
-    @property
-    def cancelled(self) -> bool:
-        return self._state == "cancelled"
-
     def cancel(self) -> None:
         if self._state != "pending":
             raise SimulationError(f"cannot cancel a {self._state} timer")

@@ -124,9 +124,6 @@ class LiveTransport:
             raise ConfigError(f"duplicate actor name {actor.name!r}")
         self._actors[actor.name] = actor
 
-    def actor(self, name: str) -> Any:
-        return self._actors[name]
-
     def has_actor(self, name: str) -> bool:
         """True for every reachable name: locally attached actors,
         replicas with known addresses, and dialled-in peers (clients
@@ -136,10 +133,6 @@ class LiveTransport:
             or name in self.addresses
             or name in self._routes
         )
-
-    @property
-    def names(self) -> list[str]:
-        return list(self._actors)
 
     def counters(self) -> dict[str, int]:
         """Messages against wire frames and bytes, both directions: a
@@ -156,9 +149,6 @@ class LiveTransport:
 
     def set_link(self, src: str, dst: str, model: Any) -> None:
         """Pair links are a delay-model concept; the wire is the wire."""
-
-    def tap(self, callback: Callable[..., None]) -> None:
-        """Departure taps observe simulated envelopes; not supported."""
 
     def host(self, *names: str) -> None:
         """Mark ``names`` as served by this node: sends to them

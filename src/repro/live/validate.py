@@ -28,7 +28,6 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from repro.errors import ConfigError
 from repro.harness import artifact as artifact_mod
 from repro.harness.experiments import run_order_experiment
 from repro.harness.probes import ProbeContext, merge_node_records, replay_records
@@ -236,25 +235,3 @@ def compare_live(
         print(f"\n{missing} live point(s) had no simulated counterpart", file=out)
         return 1
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro compare --live",
-        description="live-vs-simulated order latency / throughput",
-    )
-    parser.add_argument("live", help="BENCH_live_*.json from repro serve")
-    parser.add_argument("baseline", nargs="?", default=None,
-                        help="simulated artifact (omit to simulate on the fly)")
-    args = parser.parse_args(argv)
-    try:
-        return compare_live(args.live, args.baseline)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

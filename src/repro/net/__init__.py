@@ -31,7 +31,7 @@ from repro.net.delay import (
 from repro.net.codec import CodecError, decode, encode, encoded_size
 from repro.net.message import Envelope
 from repro.net.network import Network
-from repro.net.pairlink import connect_pair, default_pair_link
+from repro.net.pairlink import connect_pair
 
 __all__ = [
     "CodecError",
@@ -44,7 +44,6 @@ __all__ = [
     "base_index",
     "connect_pair",
     "decode",
-    "default_pair_link",
     "encode",
     "encoded_size",
     "is_shadow",

@@ -46,11 +46,6 @@ class Envelope:
         self.depart_time = depart_time
         self.arrive_time = arrive_time
 
-    @property
-    def transit_time(self) -> float:
-        """Seconds the message spent in flight."""
-        return self.arrive_time - self.depart_time
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Envelope(msg_id={self.msg_id}, {self.sender}->{self.dest}, "

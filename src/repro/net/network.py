@@ -47,7 +47,6 @@ class Network:
         self.default_link = default_link if default_link is not None else LanDelay()
         self._actors: dict[str, Actor] = {}
         self._links: dict[tuple[str, str], DelayModel] = {}
-        self._taps: list[Callable[[Envelope], None]] = []
         self._next_msg_id = 0
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -76,21 +75,9 @@ class Network:
             raise ConfigError(f"duplicate actor name {actor.name!r}")
         self._actors[actor.name] = actor
 
-    def actor(self, name: str) -> Actor:
-        """Look up a registered actor."""
-        try:
-            return self._actors[name]
-        except KeyError:
-            raise ConfigError(f"no actor named {name!r}") from None
-
     def has_actor(self, name: str) -> bool:
         """True when ``name`` is attached to this network."""
         return name in self._actors
-
-    @property
-    def names(self) -> list[str]:
-        """All attached actor names, in attachment order."""
-        return list(self._actors)
 
     def set_link(self, src: str, dst: str, model: DelayModel) -> None:
         """Override the delay model for the directed link ``src -> dst``.
@@ -106,10 +93,6 @@ class Network:
     def link(self, src: str, dst: str) -> DelayModel:
         """The delay model in force for ``src -> dst``."""
         return self._links.get((src, dst), self.default_link)
-
-    def tap(self, callback: Callable[[Envelope], None]) -> None:
-        """Observe every envelope as it departs (testing / metrics)."""
-        self._taps.append(callback)
 
     # ------------------------------------------------------------------
     # Transmission
@@ -161,10 +144,6 @@ class Network:
             self.pair_messages_sent += 1
         by_sender = self.messages_by_sender
         by_sender[sender] = by_sender.get(sender, 0) + 1
-        taps = self._taps
-        if taps:
-            for tap in taps:
-                tap(envelope)
         hold = self._hold_predicate
         if hold is not None and hold(envelope):
             self._held.append(envelope)
@@ -237,7 +216,6 @@ class Network:
             raise SimulationError(f"depart_time {depart} is before now {now}")
         actors = self._actors
         cache = self._stream_cache
-        taps = self._taps
         hold = self._hold_predicate
         envelopes: list[Envelope] = []
         n_sent = 0
@@ -264,9 +242,6 @@ class Network:
             n_sent += 1
             if dedicated:
                 n_dedicated += 1
-            if taps:
-                for tap in taps:
-                    tap(envelope)
             if hold is not None and hold(envelope):
                 self._held.append(envelope)
             else:

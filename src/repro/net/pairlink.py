@@ -8,26 +8,17 @@ overhead is part of the calibration profile, not the link.
 
 from __future__ import annotations
 
-from repro.net.delay import DelayModel, LanDelay
+from repro.net.delay import DelayModel
 from repro.net.network import Network
 
 
-def default_pair_link() -> LanDelay:
-    """Delay model for the dedicated replica-shadow connection."""
-    return LanDelay(propagation=40e-6, bandwidth_bytes_per_s=12.5e6, jitter=10e-6)
-
-
 def connect_pair(
-    network: Network,
-    first: str,
-    second: str,
-    model: DelayModel | None = None,
+    network: Network, first: str, second: str, model: DelayModel
 ) -> DelayModel:
     """Install a fast link in both directions between two processes.
 
     Returns the model so fault injectors can wrap or inspect it.
     """
-    link = model if model is not None else default_pair_link()
-    network.set_link(first, second, link)
-    network.set_link(second, first, link)
-    return link
+    network.set_link(first, second, model)
+    network.set_link(second, first, model)
+    return model

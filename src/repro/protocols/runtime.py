@@ -59,10 +59,6 @@ class StepTimer:
     def active(self) -> bool:
         return self._state == "pending"
 
-    @property
-    def cancelled(self) -> bool:
-        return self._state == "cancelled"
-
     def cancel(self) -> None:
         if self._state != "pending":
             raise SimulationError(f"cannot cancel a {self._state} timer")
@@ -84,10 +80,6 @@ class StepRuntime:
         self.trace = trace if trace is not None else Tracer()
         self._heap: list[tuple[float, int, StepTimer]] = []
         self._seq = 0
-
-    @property
-    def pending(self) -> int:
-        return len(self._heap)
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -161,21 +153,11 @@ class LocalTransport:
             raise ConfigError(f"duplicate actor name {actor.name!r}")
         self._actors[actor.name] = actor
 
-    def actor(self, name: str) -> Any:
-        return self._actors[name]
-
     def has_actor(self, name: str) -> bool:
         return name in self._actors
 
-    @property
-    def names(self) -> list[str]:
-        return list(self._actors)
-
     def set_link(self, src: str, dst: str, model: Any) -> None:
         """Dedicated links are a delay-model concern; no wire, no-op."""
-
-    def tap(self, callback: Callable[..., None]) -> None:
-        """Departure taps observe simulated envelopes; nothing to tap."""
 
     def host(self, *names: str) -> None:
         """Mark ``names`` as locally served: sends to them dispatch

@@ -72,14 +72,3 @@ class Cpu:
         self.total_busy += effective
         self.tasks_run += 1
         return completion
-
-    def utilization(self, since: float = 0.0) -> float:
-        """Fraction of ``[since, now]`` spent busy (approximate).
-
-        Uses accumulated busy time, so it is exact when ``since`` is 0
-        and the CPU has drained; good enough for steady-state reporting.
-        """
-        elapsed = self.sim.now - since
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.total_busy / elapsed)

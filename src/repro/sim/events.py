@@ -69,9 +69,6 @@ class Event:
         """True while the event is still going to fire."""
         return not self.cancelled
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "active"
         name = getattr(self.callback, "__name__", repr(self.callback))
@@ -82,11 +79,11 @@ class EventQueue:
     """Min-heap of :class:`Event` with deterministic ordering.
 
     The heap stores ``(time, seq, event)`` triples so that every
-    comparison during sift-up/down is a C-level tuple comparison —
-    ``Event.__lt__`` was one of the hottest functions in a profiled
-    sweep — while the public API still trades in :class:`Event`
-    handles.  ``(time, seq)`` is unique per event, so the ``event``
-    slot is never compared.
+    comparison during sift-up/down is a C-level tuple comparison (a
+    Python-level ``__lt__`` was one of the hottest functions in a
+    profiled sweep, so :class:`Event` defines no ordering) while the
+    public API still trades in :class:`Event` handles.  ``(time, seq)``
+    is unique per event, so the ``event`` slot is never compared.
     """
 
     def __init__(self) -> None:
@@ -136,22 +133,13 @@ class EventQueue:
         self._heap[:] = live
         self._cancelled = 0
 
-    def pop(self) -> Event | None:
-        """Remove and return the earliest non-cancelled event, or None."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[2]
-            if not event.cancelled:
-                return event
-            self._cancelled -= 1
-        return None
-
     def pop_due(self, until: float | None = None) -> Event | None:
         """Pop the earliest live event firing at or before ``until``.
 
-        Fuses :meth:`peek_time` + :meth:`pop` into one heap traversal
-        (the kernel's inner loop did both per event).  An event beyond
-        ``until`` stays queued; cancelled events ahead of it are
+        The one-event reference for :meth:`pop_due_batch`: one heap
+        traversal finds, checks and removes the head.  ``pop_due()``
+        pops the earliest live event whatever its time.  An event
+        beyond ``until`` stays queued; cancelled events ahead of it are
         discarded either way.  Returns ``None`` when nothing is due.
         """
         heap = self._heap
@@ -204,13 +192,3 @@ class EventQueue:
                     out.append(event)
             return slot
         return None
-
-    def peek_time(self) -> float | None:
-        """Return the firing time of the earliest live event, or None."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        if not heap:
-            return None
-        return heap[0][0]

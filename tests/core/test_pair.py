@@ -16,6 +16,7 @@ from repro.core.requests import ClientRequest
 from repro.crypto.dealer import TrustedDealer, fail_signal_body
 from repro.crypto.schemes import MD5_RSA_1024
 from repro.crypto.signed import SignedMessage, sign_message
+from repro.crypto.signing import Signature
 
 
 @pytest.fixture
@@ -130,7 +131,7 @@ def test_fail_signal_rejects_mismatched_pair_index(provider):
 
 def test_fail_signal_rejects_forged_signature(provider):
     body = fail_signal_body(1, "p1'")
-    forged = provider.forge("p1'", b"anything")
+    forged = Signature(signer="p1'", scheme=MD5_RSA_1024.name, value=bytes(128))
     own = provider.sign("p1", b"anything2")
     signed = SignedMessage(body=body, signatures=(forged, own))
     assert fail_signal_pair_rank(provider, signed) is None

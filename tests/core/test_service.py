@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.messages import OrderEntry
-from repro.core.service import KeyValueStateMachine, ReplicatedStateMachine
+from repro.core.service import ReplicatedStateMachine
 from repro.errors import ProtocolError
 
 
@@ -59,21 +59,3 @@ def test_digest_depends_on_order():
     b.apply(entry(2, tag=b"\x01"))
     assert a.state_digest() != b.state_digest()
 
-
-def test_key_value_machine_set_and_del():
-    kv = KeyValueStateMachine("p1")
-    kv.execute_payload(entry(1), b"set name byzantium")
-    kv.execute_payload(entry(2), b"set year 2006")
-    kv.execute_payload(entry(3), b"del name")
-    assert kv.data == {"year": "2006"}
-    assert kv.applied_seq == 3
-
-
-def test_key_value_machine_ignores_junk_but_stays_consistent():
-    a = KeyValueStateMachine("p1")
-    b = KeyValueStateMachine("p2")
-    for machine in (a, b):
-        machine.execute_payload(entry(1), b"\xff\xfe not ascii")
-        machine.execute_payload(entry(2), b"unknown op x")
-    assert a.state_digest() == b.state_digest()
-    assert a.data == {}

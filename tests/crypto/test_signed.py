@@ -6,12 +6,10 @@ from repro.crypto.schemes import MD5_RSA_1024
 from repro.crypto.signed import (
     SignedMessage,
     countersign,
-    require_signed,
     sign_message,
     verify_signed,
 )
 from repro.crypto.signing import SimulatedSignatureProvider
-from repro.errors import VerificationError
 
 NAMES = ["p1", "p1'", "p2"]
 
@@ -60,11 +58,3 @@ def test_countersignature_covers_first_signature(provider):
 def test_signature_bytes_sum(provider):
     msg = countersign(provider, "p1'", sign_message(provider, "p1", "x"))
     assert msg.signature_bytes == 2 * 128
-
-
-def test_require_signed_raises(provider):
-    msg = sign_message(provider, "p1", "x")
-    require_signed(provider, msg)  # no raise
-    forged = SignedMessage(body="y", signatures=msg.signatures)
-    with pytest.raises(VerificationError):
-        require_signed(provider, forged)

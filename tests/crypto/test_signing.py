@@ -3,7 +3,11 @@
 import pytest
 
 from repro.crypto.schemes import MD5_RSA_1024, SHA1_DSA_1024
-from repro.crypto.signing import RealSignatureProvider, SimulatedSignatureProvider
+from repro.crypto.signing import (
+    RealSignatureProvider,
+    Signature,
+    SimulatedSignatureProvider,
+)
 from repro.errors import ConfigError, CryptoError
 
 NAMES = ["p1", "p1'", "p2"]
@@ -45,7 +49,9 @@ def test_simulated_rejects_tampered_data(simulated):
 
 
 def test_simulated_forgery_never_verifies(simulated):
-    forged = simulated.forge("p1", b"data")
+    # What a Byzantine process can do: fabricate a signature object
+    # without the victim's secret.
+    forged = Signature(signer="p1", scheme=MD5_RSA_1024.name, value=bytes(128))
     assert forged.signer == "p1"
     assert not simulated.verify(forged, b"data", "p1")
 

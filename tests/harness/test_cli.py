@@ -1,6 +1,7 @@
 """CLI tests (fast: the experiment runners are monkeypatched)."""
 
 import json
+import socket
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from repro.harness.experiments import (
     DEFAULT_ORDER_PROBES,
 )
 from repro.harness.probes import ProbeReport
+from repro.net import framing
 
 #: ``--help`` of ``python -m repro`` and of every subcommand, captured
 #: with ``COLUMNS=80`` before the CLI moved out of ``experiments.py``.
@@ -277,3 +279,25 @@ def test_cli_help_is_unchanged(monkeypatch, capsys):
             repro_main(argv)
         assert exit_info.value.code == 0
         assert capsys.readouterr().out == expected, f"repro {header}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["load", "--control"], ["serve", "--replica-id", "p1", "--join"]],
+    ids=["load", "serve-join"],
+)
+def test_unreachable_controller_is_one_error_line(monkeypatch, capsys, argv):
+    """A dial that exhausts its retry budget raises ``PeerLost`` (a
+    ``ConnectionError``); the CLI turns it into an ``error:`` line and
+    exit 2, not a traceback."""
+    monkeypatch.setattr(
+        framing, "STARTUP", framing.BackoffPolicy(first=0.01, cap=0.02, budget=0.05)
+    )
+    with socket.socket() as probe:  # a port nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        closed = f"127.0.0.1:{probe.getsockname()[1]}"
+    assert repro_main([*argv, closed]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not connect to"), err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1, err

@@ -13,8 +13,8 @@ import repro
 
 SRC = Path(repro.__file__).resolve().parent
 POINT_MODULES = (
-    "experiments", "figures", "cli", "runner", "scenario", "stats",
-    "workload", "population",
+    "experiments", "figures", "cli", "runner", "scenario", "workload",
+    "population",
 )
 
 

@@ -34,7 +34,7 @@ from repro.harness.scenario import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.harness.workload import arrival_times, saturating_rate_per_class
+from repro.harness.workload import arrival_times
 from repro.sim.rng import RngRegistry
 
 
@@ -242,23 +242,6 @@ def test_envelope_thins_below_peak_and_stays_deterministic():
     assert len(thinned) < len(base)
     again = list(population_stream(surged, 300.0, 2.0, RngRegistry(4)))
     assert thinned == again
-
-
-# ----------------------------------------------------------------------
-# saturating_rate_per_class
-# ----------------------------------------------------------------------
-def test_saturating_rate_per_class_splits_the_aggregate():
-    from repro.harness.workload import saturating_rate
-
-    shares = {"a": 3.0, "b": 1.0}
-    rates = saturating_rate_per_class(8192, 64, 0.1, shares)
-    aggregate = saturating_rate(8192, 64, 0.1)
-    assert sum(rates.values()) == pytest.approx(aggregate)
-    assert rates["a"] == pytest.approx(3 * rates["b"])
-    with pytest.raises(ConfigError):
-        saturating_rate_per_class(8192, 64, 0.1, {})
-    with pytest.raises(ConfigError):
-        saturating_rate_per_class(8192, 64, 0.1, {"a": -1.0})
 
 
 # ----------------------------------------------------------------------

@@ -1,76 +1,29 @@
-"""Unit tests for the statistics helpers."""
+"""Seed-to-seed spread of the paper's headline comparison."""
 
-import pytest
+import statistics
 
-from repro.errors import ConfigError
-from repro.harness.stats import Summary, repeat_order_experiment, summarize, t95
+from repro.harness.experiments import run_order_experiment
 
-
-def test_summarize_basic():
-    summary = summarize([2.0, 4.0, 6.0])
-    assert summary.n == 3
-    assert summary.mean == pytest.approx(4.0)
-    assert summary.stdev == pytest.approx(2.0)
-    # t(df=2) = 4.303 -> ci = 4.303 * 2 / sqrt(3)
-    assert summary.ci95 == pytest.approx(4.303 * 2.0 / 3**0.5)
-
-
-def test_summarize_single_value():
-    summary = summarize([5.0])
-    assert summary.mean == 5.0
-    assert summary.ci95 == 0.0
-
-
-def test_summarize_empty_raises():
-    with pytest.raises(ConfigError):
-        summarize([])
-
-
-def test_t95_table_and_tail():
-    assert t95(1) == pytest.approx(12.706)
-    assert t95(30) == pytest.approx(2.042)
-    assert t95(1000) == pytest.approx(1.96)
-    with pytest.raises(ConfigError):
-        t95(0)
-
-
-def test_interval_bounds_and_overlap():
-    a = Summary(n=3, mean=10.0, stdev=1.0, ci95=2.0)
-    b = Summary(n=3, mean=13.0, stdev=1.0, ci95=2.0)
-    c = Summary(n=3, mean=20.0, stdev=1.0, ci95=2.0)
-    assert a.low == 8.0 and a.high == 12.0
-    assert a.overlaps(b)
-    assert not a.overlaps(c)
-
-
-def test_repeat_order_experiment_over_seeds():
-    latency, throughput = repeat_order_experiment(
-        "ct", "md5-rsa1024", 0.100, seeds=(1, 2, 3),
-        n_batches=15, warmup_batches=4,
-    )
-    assert latency.n == 3
-    assert 0.002 < latency.mean < 0.05
-    assert latency.ci95 < latency.mean  # tight: CT is very stable
-    assert throughput.mean > 0
-
-
-def test_repeat_order_experiment_needs_seeds():
-    with pytest.raises(ConfigError):
-        repeat_order_experiment("ct", "md5-rsa1024", 0.1, seeds=())
+#: Two-sided 95 % Student-t critical value for df = 2 (three seeds).
+T95_DF2 = 4.303
 
 
 def test_sc_beats_bft_with_confidence():
-    """The paper's headline comparison, with error bars: the SC and BFT
-    latency intervals must not overlap at a steady-state interval."""
-    sc, _ = repeat_order_experiment(
-        "sc", "md5-rsa1024", 0.250, seeds=(1, 2, 3),
-        n_batches=15, warmup_batches=4,
-    )
-    bft, _ = repeat_order_experiment(
-        "bft", "md5-rsa1024", 0.250, seeds=(1, 2, 3),
-        n_batches=15, warmup_batches=4,
-    )
-    assert sc.mean < bft.mean
-    assert not sc.overlaps(bft), (
-        f"intervals overlap: SC {sc} vs BFT {bft}"
-    )
+    """The paper's headline comparison, with error bars: over seeds
+    1–3, the SC and BFT 95 % latency intervals must not overlap at a
+    steady-state interval."""
+
+    def interval(protocol):
+        latencies = [
+            run_order_experiment(
+                protocol, "md5-rsa1024", 0.250, seed=seed,
+                n_batches=15, warmup_batches=4,
+            ).latency_mean
+            for seed in (1, 2, 3)
+        ]
+        mean = statistics.mean(latencies)
+        half = T95_DF2 * statistics.stdev(latencies) / len(latencies) ** 0.5
+        return mean - half, mean + half
+
+    sc, bft = interval("sc"), interval("bft")
+    assert sc[1] < bft[0], f"intervals overlap: SC {sc} vs BFT {bft}"

@@ -96,17 +96,6 @@ def test_depart_time_defers_transmission():
     assert b.received[0][0] == pytest.approx(1.001)
 
 
-def test_tap_observes_envelopes():
-    sim, net, a, b = make_net()
-    seen = []
-    net.tap(seen.append)
-    net.send("a", "b", "m", size_bytes=10)
-    sim.run()
-    assert len(seen) == 1
-    assert seen[0].sender == "a" and seen[0].dest == "b"
-    assert seen[0].transit_time == pytest.approx(0.001)
-
-
 def test_hold_and_release_preserves_reliability():
     sim, net, a, b = make_net()
     net.hold_matching(lambda env: env.payload == "held")

@@ -11,7 +11,7 @@ from repro.crypto.canon import encode_canonical
 from repro.crypto.digests import digest
 from repro.crypto.numtheory import egcd, is_probable_prime, modinv
 from repro.crypto.schemes import MD5_RSA_1024
-from repro.crypto.signing import SimulatedSignatureProvider
+from repro.crypto.signing import Signature, SimulatedSignatureProvider
 from tests.crypto.oracle import md5, sha1
 
 # Shared keys: generating inside @given would dominate run time.
@@ -98,7 +98,8 @@ def test_simulated_tokens_are_message_bound(a, b):
 
 @given(st.binary(max_size=256))
 def test_forgery_never_verifies(data):
-    forged = _PROVIDER.forge("p1", data)
+    value = hashlib.sha256(b"forged:" + data).digest() * 4
+    forged = Signature(signer="p1", scheme=MD5_RSA_1024.name, value=value)
     assert not _PROVIDER.verify(forged, data, "p1")
 
 

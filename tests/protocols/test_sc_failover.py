@@ -171,3 +171,53 @@ def test_non_coordinator_pair_failure_does_not_change_coordinator():
     assert trace.of_kind("coordinator_installed") == []
     # ...and ordering continues under pair 1 throughout.
     assert_total_order_among_correct(cluster)
+
+
+# ----------------------------------------------------------------------
+# An ack that carries an install pseudo-batch the receiver holds no
+# order for: the batch is only as authentic as the Start behind it.
+# ----------------------------------------------------------------------
+def _install_ack(start_seq: int):
+    """A fresh f = 1 SC cluster, the signed Start that installs
+    coordinator rank 2 (the unpaired ``p2``) at ``start_seq``, and p3's
+    signed ack of the pseudo batch that Start commits through."""
+    from repro import build_cluster
+    from repro.core.messages import Ack, Start
+    from repro.core.sc import make_install_batch
+    from repro.crypto.signed import SignedMessage, sign_message
+
+    cluster = build_cluster("sc", config=ProtocolConfig(f=1), seed=1)
+    provider = cluster.process("p1").provider
+    start = Start(new_rank=2, start_seq=start_seq, new_backlog=())
+    signed_start = sign_message(provider, "p2", start)
+    pseudo = make_install_batch(signed_start, cluster.config.scheme.digest)
+    order = SignedMessage(body=pseudo, signatures=signed_start.signatures)
+    ack = sign_message(provider, "p3", Ack(acker="p3", order=order))
+    return cluster, signed_start, ack
+
+
+def test_install_ack_without_a_held_start_is_dropped():
+    cluster, _, ack = _install_ack(start_seq=1)
+    p1 = cluster.process("p1")
+    assert p1.pending_start is None
+    p1.on_message("p3", ack)
+    assert 1 not in p1.log.slots
+
+
+def test_install_ack_for_a_different_start_is_dropped():
+    cluster, _, ack = _install_ack(start_seq=1)
+    _, other_start, _ = _install_ack(start_seq=2)
+    p1 = cluster.process("p1")
+    p1.pending_start = other_start
+    p1.on_message("p3", ack)
+    assert 1 not in p1.log.slots
+
+
+def test_install_ack_matching_the_held_start_adopts_the_order():
+    cluster, signed_start, ack = _install_ack(start_seq=1)
+    p1 = cluster.process("p1")
+    p1.pending_start = signed_start
+    p1.on_message("p3", ack)
+    slot = p1.log.slots[1]
+    assert slot.order == ack.body.order
+    assert "p3" in slot.support

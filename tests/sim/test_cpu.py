@@ -76,12 +76,3 @@ def test_total_busy_accumulates():
     cpu.submit(0.010)
     cpu.submit(0.020)
     assert cpu.total_busy == pytest.approx(0.030)
-
-
-def test_utilization_bounded():
-    sim = Simulator()
-    cpu = Cpu(sim)
-    cpu.submit(10.0)
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    assert cpu.utilization() == 1.0

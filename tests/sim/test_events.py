@@ -13,7 +13,7 @@ def test_pop_returns_events_in_time_order():
     q.push(1.0, fired.append, ("a",))
     q.push(2.0, fired.append, ("b",))
     times = []
-    while (event := q.pop()) is not None:
+    while (event := q.pop_due()) is not None:
         times.append(event.time)
     assert times == [1.0, 2.0, 3.0]
 
@@ -22,8 +22,8 @@ def test_ties_break_by_insertion_order():
     q = EventQueue()
     first = q.push(1.0, lambda: None, ())
     second = q.push(1.0, lambda: None, ())
-    assert q.pop() is first
-    assert q.pop() is second
+    assert q.pop_due() is first
+    assert q.pop_due() is second
 
 
 def test_cancelled_events_are_skipped():
@@ -31,8 +31,8 @@ def test_cancelled_events_are_skipped():
     keep = q.push(2.0, lambda: None, ())
     drop = q.push(1.0, lambda: None, ())
     drop.cancel()
-    assert q.pop() is keep
-    assert q.pop() is None
+    assert q.pop_due() is keep
+    assert q.pop_due() is None
 
 
 def test_cancel_twice_raises():
@@ -43,16 +43,18 @@ def test_cancel_twice_raises():
         event.cancel()
 
 
-def test_peek_time_skips_cancelled():
+def test_pop_due_leaves_events_beyond_until():
     q = EventQueue()
     early = q.push(1.0, lambda: None, ())
-    q.push(2.0, lambda: None, ())
+    late = q.push(2.0, lambda: None, ())
     early.cancel()
-    assert q.peek_time() == 2.0
+    assert q.pop_due(1.5) is None
+    assert len(q) == 1
+    assert q.pop_due(2.0) is late
 
 
-def test_peek_time_empty_queue():
-    assert EventQueue().peek_time() is None
+def test_pop_due_empty_queue():
+    assert EventQueue().pop_due() is None
 
 
 def test_len_counts_pushed_events():
