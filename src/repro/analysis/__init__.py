@@ -1,9 +1,11 @@
 """Static analysis of the tree's determinism and safety invariants.
 
-The fourth plugin registry (after protocols, execution backends and
-measurement probes): a :class:`~repro.analysis.base.Checker` is one
-machine-enforced invariant, registered by code and run by ``python -m
-repro lint``.  Five ship built in —
+The third plugin table (after protocols and measurement probes, on
+the same :class:`repro.registry.Registry`): a
+:class:`~repro.analysis.base.Checker` is one machine-enforced
+invariant, registered by code in
+:data:`~repro.analysis.base.CHECKERS` and run by ``python -m repro
+lint``.  Five ship built in —
 
 * ``RPR001`` determinism — no ambient randomness or wall-clock reads
   in sim/protocol code; harness telemetry goes through
@@ -23,20 +25,13 @@ reason`` line pragmas, plus the committed near-empty baseline
 gates ``repro lint --format json src tests`` on every push.
 """
 
-from repro.analysis.base import Checker, Finding, SourceFile
+from repro.analysis.base import CHECKERS, Checker, Finding, SourceFile
 from repro.analysis.engine import (
     JSON_SCHEMA_VERSION,
     LintReport,
     lint_files,
     lint_paths,
     lint_sources,
-)
-from repro.analysis.registry import (
-    all_checkers,
-    get,
-    names,
-    register,
-    unregister,
 )
 
 # Importing the checker modules registers them.
@@ -46,8 +41,14 @@ from repro.analysis.tracekinds import TraceKindChecker
 from repro.analysis.wire import WireSafetyChecker
 from repro.analysis.asynchygiene import AsyncHygieneChecker
 
+register = CHECKERS.register
+get = CHECKERS.get
+names = CHECKERS.names
+all_checkers = CHECKERS.all
+
 __all__ = [
     "AsyncHygieneChecker",
+    "CHECKERS",
     "Checker",
     "DeterminismChecker",
     "DispatchChecker",
@@ -64,5 +65,4 @@ __all__ = [
     "lint_sources",
     "names",
     "register",
-    "unregister",
 ]

@@ -29,8 +29,7 @@ import ast
 from typing import Iterable
 
 from repro.analysis.astutil import import_map, resolve_call, walk_with_async_context
-from repro.analysis.base import Checker, Finding, SourceFile
-from repro.analysis.registry import register
+from repro.analysis.base import CHECKERS, Checker, Finding, SourceFile
 
 #: Canonical dotted names that block, with the non-blocking move.
 BLOCKING_CALLS: dict[str, str] = {
@@ -53,7 +52,7 @@ BLOCKING_HELPERS: dict[str, str] = {
 }
 
 
-@register
+@CHECKERS.register
 class AsyncHygieneChecker(Checker):
     code = "RPR005"
     name = "async-hygiene"

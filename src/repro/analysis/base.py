@@ -6,8 +6,8 @@ stable code (``RPR001``...).  It declares the paths it patrols
 ``src/`` layer stripped, so ``repro/sim/`` matches both the installed
 and the in-repo form) and turns :class:`SourceFile` ASTs into
 :class:`Finding` values.  Checkers are classes registered by code
-(:mod:`~repro.analysis.registry`), mirroring the protocol and probe
-registries; instances are per-run.
+in :data:`CHECKERS`, a :class:`repro.registry.Registry` like the
+protocol and probe tables; instances are per-run.
 
 Suppression happens in two layers, both recorded on the finding so
 ``--format json`` consumers can tell them apart:
@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.errors import AnalysisError
+from repro.registry import Registry
 
 #: The one pragma form the pass honours.  ``reason`` is mandatory: a
 #: waiver nobody can justify in half a line should not exist.
@@ -230,6 +231,26 @@ class Checker(ABC):
             col=getattr(node, "col_offset", 0),
             message=message,
         )
+
+
+#: The shape every checker code takes (``RPR001``).
+_CODE_RE = re.compile(r"^[A-Z]{2,8}[0-9]{3}$")
+
+
+def _checker_code(checker: type[Checker]) -> str:
+    """A checker's registry key, refusing codes not shaped like ``RPR001``."""
+    if not _CODE_RE.match(checker.code):
+        raise AnalysisError(
+            f"checker class {checker!r} needs a code like 'RPR001'"
+        )
+    return checker.code
+
+
+#: Every registered checker class by code; importing
+#: :mod:`repro.analysis` registers the built-in ones.
+CHECKERS: Registry[type[Checker]] = Registry(
+    "checker", _checker_code, AnalysisError
+)
 
 
 def apply_suppressions(

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis import registry
+from repro.analysis.base import CHECKERS
 from repro.analysis.engine import LintReport, lint_paths
 from repro.errors import ReproError
 
@@ -65,7 +65,7 @@ def _default_paths(root: Path) -> list[str]:
 
 
 def _list_checkers() -> int:
-    for checker_cls in registry.all_checkers():
+    for checker_cls in CHECKERS.all():
         checker = checker_cls()
         scope = ", ".join(checker.scope) or "everything"
         print(f"{checker.code}  {checker.name}")

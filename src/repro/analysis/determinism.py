@@ -26,8 +26,7 @@ import ast
 from typing import Iterable
 
 from repro.analysis.astutil import import_map, resolve_call
-from repro.analysis.base import Checker, Finding, SourceFile
-from repro.analysis.registry import register
+from repro.analysis.base import CHECKERS, Checker, Finding, SourceFile
 
 #: Wall-clock reads, forbidden in both tiers.
 CLOCK_CALLS = frozenset({
@@ -69,7 +68,7 @@ def _is_random_module(origin: str) -> bool:
     return origin == "random" or origin.startswith("random.")
 
 
-@register
+@CHECKERS.register
 class DeterminismChecker(Checker):
     code = "RPR001"
     name = "determinism"

@@ -22,8 +22,7 @@ import re
 from typing import Iterable
 
 from repro.analysis.astutil import dotted_name, str_const
-from repro.analysis.base import Checker, Finding, SourceFile
-from repro.analysis.registry import register
+from repro.analysis.base import CHECKERS, Checker, Finding, SourceFile
 
 #: Implementation modules whose classes are registry-only outside the
 #: owning package (the package ``__init__`` re-exports are the public
@@ -58,7 +57,7 @@ def _literal_strings(node: ast.AST) -> bool:
     return False
 
 
-@register
+@CHECKERS.register
 class DispatchChecker(Checker):
     code = "RPR002"
     name = "registry-dispatch"

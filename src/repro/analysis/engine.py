@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis import registry
 from repro.analysis.base import (
+    CHECKERS,
     PRAGMA_CODE,
     Finding,
     SourceFile,
@@ -139,7 +139,7 @@ def discover(paths: Sequence[Path], root: Path) -> list[SourceFile]:
 def _validate_filter(codes: Iterable[str] | None) -> tuple[str, ...] | None:
     if codes is None:
         return None
-    known = set(registry.names()) | {PRAGMA_CODE}
+    known = set(CHECKERS.names()) | {PRAGMA_CODE}
     out = tuple(codes)
     for code in out:
         if code not in known:
@@ -153,7 +153,7 @@ def _validate_filter(codes: Iterable[str] | None) -> tuple[str, ...] | None:
 def run_checkers(files: Sequence[SourceFile]) -> list[Finding]:
     """Every registered checker over the file set (unsuppressed)."""
     findings: list[Finding] = []
-    for checker_cls in registry.all_checkers():
+    for checker_cls in CHECKERS.all():
         findings.extend(checker_cls().run(files))
     return findings
 
@@ -188,7 +188,7 @@ def lint_files(
     return LintReport(
         findings=reported,
         files_checked=len(files),
-        codes_run=registry.names(),
+        codes_run=CHECKERS.names(),
         stale_baseline=tuple(unused_entries(entries, suppressed)),
     )
 

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.analysis.astutil import str_const
-from repro.analysis.base import Checker, Finding, SourceFile
-from repro.analysis.registry import register
+from repro.analysis.base import CHECKERS, Checker, Finding, SourceFile
 
 #: Files whose presence marks a whole-tree run (the cross-checks are
 #: meaningless over a partial file set).
@@ -171,7 +170,7 @@ def _literal_kind_set(value: ast.AST) -> frozenset[str] | None:
     return None
 
 
-@register
+@CHECKERS.register
 class TraceKindChecker(Checker):
     code = "RPR003"
     name = "trace-kinds"

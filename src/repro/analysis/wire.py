@@ -32,8 +32,7 @@ from repro.analysis.astutil import (
     resolve_call,
     resolve_name,
 )
-from repro.analysis.base import Checker, Finding, SourceFile
-from repro.analysis.registry import register
+from repro.analysis.base import CHECKERS, Checker, Finding, SourceFile
 
 FRAMING_MODULE = "repro/net/framing.py"
 
@@ -58,7 +57,7 @@ def _references_bound(func: ast.AST) -> bool:
     return False
 
 
-@register
+@CHECKERS.register
 class WireSafetyChecker(Checker):
     code = "RPR004"
     name = "wire-safety"

@@ -41,7 +41,6 @@ from repro.harness.scenario import (
 )
 from repro.harness.metrics import LatencyStats, linear_fit
 from repro.harness.probes import (
-    MetricSeries,
     Probe,
     ProbeContext,
     ProbeReport,
@@ -53,7 +52,6 @@ __all__ = [
     "BUILTIN_SCENARIOS",
     "Cluster",
     "LatencyStats",
-    "MetricSeries",
     "Probe",
     "ProbeContext",
     "ProbeReport",

@@ -178,7 +178,9 @@ def run_failover_experiment(
     """
     plugin = protocols.get(protocol)
     if not plugin.supports_failover:
-        capable = "/".join(protocols.failover_capable())
+        capable = "/".join(
+            p.name for p in protocols.all_protocols() if p.supports_failover
+        )
         raise ConfigError(f"fail-over experiment applies to {capable} only")
     selected = probe_registry.validate_names(
         DEFAULT_FAILOVER_PROBES if probes is None else probes

@@ -1,12 +1,12 @@
 """Pluggable measurement probes.
 
-The observation half of the harness, split out behind a registry
-(mirroring :mod:`repro.protocols`): a
+The observation half of the harness, split out behind
+:data:`~repro.harness.probes.registry.PROBES` (a
+:class:`repro.registry.Registry`, like :mod:`repro.protocols`): a
 :class:`~repro.harness.probes.base.Probe` declares the trace kinds it
 needs, consumes records incrementally as the simulator emits them, and
 finalizes to named scalar metrics (the per-point metric map of
-artifact schema v3) plus optional
-:class:`~repro.harness.probes.base.MetricSeries`.
+artifact schema v3).
 
 The paper's three measurements register on import:
 
@@ -23,7 +23,6 @@ scenario (``probes = [...]`` in a spec file), or from the CLI
 """
 
 from repro.harness.probes.base import (
-    MetricSeries,
     Probe,
     ProbeContext,
     ProbeReport,
@@ -35,16 +34,17 @@ from repro.harness.probes.feed import (
     replay_records,
 )
 from repro.harness.probes.registry import (
-    all_probes,
+    PROBES,
     create_all,
-    get,
     kinds_union,
     metric_direction,
-    names,
-    register,
-    unregister,
     validate_names,
 )
+
+register = PROBES.register
+get = PROBES.get
+names = PROBES.names
+all_probes = PROBES.all
 
 # Importing the modules registers the paper's probes, the live
 # recovery-timeline probe, and the population-scale probes.
@@ -64,8 +64,8 @@ __all__ = [
     "ClientFairnessProbe",
     "CryptoCostProbe",
     "FailoverProbe",
-    "MetricSeries",
     "OrderLatencyProbe",
+    "PROBES",
     "Probe",
     "ProbeContext",
     "ProbeReport",
@@ -83,6 +83,5 @@ __all__ = [
     "metric_direction",
     "names",
     "register",
-    "unregister",
     "validate_names",
 ]

@@ -6,7 +6,7 @@ matching :class:`~repro.sim.trace.TraceRecord` objects **incrementally**
 as the simulator emits them (attached through
 :meth:`repro.sim.trace.Tracer.subscribe` with its kind set, so records
 it never asked for cost it nothing), and finalizes to a named map of
-scalar metrics plus optional :class:`MetricSeries`.
+scalar metrics.
 
 Every simulated point — order, fail-over, scenario — is wired by
 :func:`repro.harness.experiments.wire_run`, which applies one
@@ -16,11 +16,12 @@ probes' declared kinds.  Nothing reads those records back to measure
 who can replay them through other probes
 (:func:`~repro.harness.probes.feed.replay_records`).
 
-Probes are classes registered by name (:mod:`~repro.harness.probes.
-registry`), mirroring the protocol registry; instances are per-run,
-constructed against a :class:`ProbeContext` carrying the experiment
-parameters the paper's definitions need (measurement window, warm-up
-discard, sample caps).
+Probes are classes registered by name in
+:data:`~repro.harness.probes.registry.PROBES`, a
+:class:`repro.registry.Registry` like the protocol table; instances
+are per-run, constructed against a :class:`ProbeContext` carrying the
+experiment parameters the paper's definitions need (measurement
+window, warm-up discard, sample caps).
 """
 
 from __future__ import annotations
@@ -31,16 +32,6 @@ from typing import Mapping
 
 from repro.errors import MetricsError
 from repro.sim.trace import TraceRecord, Tracer
-
-
-@dataclass(frozen=True)
-class MetricSeries:
-    """A named per-run series of ``(x, value)`` points (e.g. one
-    latency sample per measured batch), for probes whose finalized
-    scalars summarise something worth keeping in full."""
-
-    name: str
-    points: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -117,10 +108,6 @@ class Probe(ABC):
     def finalize(self) -> dict[str, float]:
         """The named scalar metrics, once the run is over."""
 
-    def series(self) -> tuple[MetricSeries, ...]:
-        """Optional named series alongside the scalars (default none)."""
-        return ()
-
     def _fail(self, reason: str) -> MetricsError:
         label = self.context.label or "this run"
         return MetricsError(f"probe {self.name!r}: {reason} for {label}")
@@ -144,7 +131,6 @@ class ProbeReport:
     f: int
     probes: tuple[str, ...]
     values: tuple[tuple[str, float], ...]
-    series: tuple[MetricSeries, ...] = ()
     events_processed: int = 0
 
     @classmethod
@@ -160,7 +146,6 @@ class ProbeReport:
             f=context.f,
             probes=tuple(probe.name for probe in probes),
             values=merged_values(probes),
-            series=tuple(s for probe in probes for s in probe.series()),
             events_processed=events_processed,
         )
 

@@ -15,12 +15,12 @@ for bit.
 from __future__ import annotations
 
 from repro.harness.metrics import LatencySample, LatencyStats
-from repro.harness.probes.base import MetricSeries, Probe, ProbeContext
-from repro.harness.probes.registry import register
+from repro.harness.probes.base import Probe, ProbeContext
+from repro.harness.probes.registry import PROBES
 from repro.sim.trace import TraceRecord
 
 
-@register
+@PROBES.register
 class OrderLatencyProbe(Probe):
     """Order latency per batch: ``batch_formed`` to the earliest
     ``order_committed`` with the same (rank, batch id), aggregated
@@ -93,14 +93,8 @@ class OrderLatencyProbe(Probe):
             "batches_measured": float(stats.count),
         }
 
-    def series(self) -> tuple[MetricSeries, ...]:
-        return (MetricSeries(
-            "order_latency",
-            tuple((s.formed_at, s.latency) for s in self._window()),
-        ),)
 
-
-@register
+@PROBES.register
 class ThroughputProbe(Probe):
     """Committed requests per second per process, averaged across
     processes, inside the context's measurement window."""
@@ -137,7 +131,7 @@ class ThroughputProbe(Probe):
         return {"throughput": sum(rates) / len(rates)}
 
 
-@register
+@PROBES.register
 class FailoverProbe(Probe):
     """Fail-over latency (first fail-signal to the first completion at
     or after it) and the mean BackLog/ViewChange wire size inside the

@@ -18,11 +18,11 @@ so regressions there say nothing a baseline gate should act on.
 from __future__ import annotations
 
 from repro.harness.probes.base import Probe, ProbeContext
-from repro.harness.probes.registry import register
+from repro.harness.probes.registry import PROBES
 from repro.sim.trace import TraceRecord
 
 
-@register
+@PROBES.register
 class RecoveryTimelineProbe(Probe):
     """Detection latency, rejoin duration/volume, quorum outage time."""
 

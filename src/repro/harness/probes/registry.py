@@ -1,61 +1,27 @@
 """The measurement-probe registry.
 
-Maps probe names to :class:`~repro.harness.probes.base.Probe`
-*classes* (instances are per-run), mirroring the protocol registry.
-The paper's three probes register on package import; a new probe
-registers with :func:`register` and is immediately selectable from
-``SweepTask(probes=...)``, scenario specs, every CLI ``--probes`` flag
-and ``python -m repro probes``.
+:data:`PROBES` maps probe names to :class:`~repro.harness.probes.base.
+Probe` *classes* (instances are per-run).  The paper's probes register
+on package import; a new probe registers with
+:func:`repro.harness.probes.register` and is immediately selectable
+from ``SweepTask(probes=...)``, scenario specs, every CLI ``--probes``
+flag and ``python -m repro probes``.  The rest of this module is what
+only probes need: selection checks, instantiation, the derived trace
+keep-filter and metric gate directions.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from repro.errors import ConfigError
 from repro.harness.probes.base import Probe, ProbeContext
+from repro.registry import Registry
 
-_REGISTRY: dict[str, type[Probe]] = {}
-
-
-def register(probe: type[Probe], *, replace: bool = False) -> type[Probe]:
-    """Add a probe class under its ``name``; returns it, so it can be
-    used as a decorator.  Duplicate names are an error unless
-    ``replace=True`` (shadowing a builtin in tests)."""
-    if not probe.name:
-        raise ConfigError(f"probe class {probe!r} has no name")
-    if probe.name in _REGISTRY and not replace:
-        raise ConfigError(
-            f"probe {probe.name!r} is already registered; "
-            f"pass replace=True to override"
-        )
-    _REGISTRY[probe.name] = probe
-    return probe
-
-
-def unregister(name: str) -> None:
-    """Remove a probe (primarily for test teardown)."""
-    _REGISTRY.pop(name, None)
-
-
-def get(name: str) -> type[Probe]:
-    """Look up a probe class by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown probe {name!r}; known: {names()}"
-        ) from None
-
-
-def names() -> tuple[str, ...]:
-    """Registered probe names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def all_probes() -> tuple[type[Probe], ...]:
-    """Every registered probe class, in registration order."""
-    return tuple(_REGISTRY.values())
+PROBES: Registry[type[Probe]] = Registry(
+    "probe", attrgetter("name"), ConfigError
+)
 
 
 def validate_names(selected: Iterable[str]) -> tuple[str, ...]:
@@ -70,7 +36,7 @@ def validate_names(selected: Iterable[str]) -> tuple[str, ...]:
     if duplicates:
         raise ConfigError(f"probe selection repeats {duplicates}")
     for name in selected:
-        get(name)
+        PROBES.get(name)
     return selected
 
 
@@ -78,7 +44,7 @@ def create_all(
     selected: Sequence[str], context: ProbeContext
 ) -> tuple[Probe, ...]:
     """Instantiate the named probes against one run's context."""
-    return tuple(get(name)(context) for name in selected)
+    return tuple(PROBES.get(name)(context) for name in selected)
 
 
 def kinds_union(selected: Iterable[str]) -> frozenset[str]:
@@ -86,7 +52,7 @@ def kinds_union(selected: Iterable[str]) -> frozenset[str]:
     keep-filter for a run measured by exactly those probes."""
     kinds: set[str] = set()
     for name in selected:
-        kinds |= get(name).kinds
+        kinds |= PROBES.get(name).kinds
     return frozenset(kinds)
 
 
@@ -99,9 +65,9 @@ def metric_direction(metric: str) -> str | None:
     Returns ``None`` when no registered probe claims the metric.
     """
     probe_part, _, bare = metric.rpartition(".")
-    if probe_part and probe_part in _REGISTRY:
-        return dict(_REGISTRY[probe_part].directions).get(bare)
-    for probe in _REGISTRY.values():
+    if probe_part and probe_part in PROBES.table:
+        return dict(PROBES.table[probe_part].directions).get(bare)
+    for probe in PROBES.table.values():
         direction = dict(probe.directions).get(metric)
         if direction is not None:
             return direction

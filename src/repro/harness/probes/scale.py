@@ -21,7 +21,7 @@ batch bookkeeping, never by the trace.
 from __future__ import annotations
 
 from repro.harness.probes.base import Probe, ProbeContext
-from repro.harness.probes.registry import register
+from repro.harness.probes.registry import PROBES
 from repro.sim.trace import TraceRecord
 
 
@@ -33,7 +33,7 @@ def _percentile(ordered: list[float], q: float) -> float:
     return ordered[index]
 
 
-@register
+@PROBES.register
 class ClientFairnessProbe(Probe):
     """Per-client commit-latency dispersion over sampled ids.
 
@@ -119,7 +119,7 @@ class ClientFairnessProbe(Probe):
         }
 
 
-@register
+@PROBES.register
 class QueueDepthProbe(Probe):
     """Unordered-queue occupancy, sampled at every batch tick.
 
@@ -178,7 +178,7 @@ _PHASES = {
 _PHASE_NAMES = ("order", "failover", "checkpoint", "reply", "other")
 
 
-@register
+@PROBES.register
 class CryptoCostProbe(Probe):
     """Signature cost attribution per protocol phase.
 

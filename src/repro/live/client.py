@@ -227,7 +227,7 @@ async def run_load(args) -> int:
                 summary, spec, args, population, digest, elapsed
             )
             summary["artifact"] = str(path)
-    elif args.json:
+    if args.json:
         summary["samples"] = [round(v, 6) for v in latencies]
         # The measurement window is over (transport closed), but other
         # tasks may still be draining on this loop — keep the disk

@@ -1,11 +1,12 @@
 """Protocol plugins: every total-order protocol the harness can deploy.
 
-The registry decouples the experiment harness from the individual
-protocols: :func:`repro.harness.cluster.build_cluster`, the sweep
-runner, the fault injector and the scenario API all dispatch through
-:func:`get` / :func:`names`, so adding a protocol is one new module
-that subclasses :class:`OrderProtocol` and calls :func:`register` —
-no ``if protocol ==`` chains anywhere in the harness.
+:data:`PROTOCOLS` (a :class:`repro.registry.Registry`) decouples the
+experiment harness from the individual protocols:
+:func:`repro.harness.cluster.build_cluster`, the sweep runner, the
+fault injector and the scenario API all dispatch through :func:`get` /
+:func:`names`, so adding a protocol is one new module that subclasses
+:class:`OrderProtocol` and calls :func:`register` — no
+``if protocol ==`` chains anywhere in the harness.
 
 The paper's four protocols register on import, in the order the study
 presents them::
@@ -15,19 +16,23 @@ presents them::
     ('sc', 'scr', 'bft', 'ct')
 """
 
+from operator import attrgetter
+
+from repro.errors import ConfigError
 from repro.protocols.base import Deployment, OrderProtocol, check_n_rule
 from repro.protocols.bft import BftPlugin
 from repro.protocols.ct import CtPlugin
-from repro.protocols.registry import (
-    all_protocols,
-    failover_capable,
-    get,
-    names,
-    register,
-    unregister,
-)
 from repro.protocols.sc import ScPlugin
 from repro.protocols.scr import ScrPlugin
+from repro.registry import Registry
+
+PROTOCOLS: Registry[OrderProtocol] = Registry(
+    "protocol", attrgetter("name"), ConfigError
+)
+register = PROTOCOLS.register
+get = PROTOCOLS.get
+names = PROTOCOLS.names
+all_protocols = PROTOCOLS.all
 
 register(ScPlugin())
 register(ScrPlugin())
@@ -39,13 +44,12 @@ __all__ = [
     "CtPlugin",
     "Deployment",
     "OrderProtocol",
+    "PROTOCOLS",
     "ScPlugin",
     "ScrPlugin",
     "all_protocols",
     "check_n_rule",
-    "failover_capable",
     "get",
     "names",
     "register",
-    "unregister",
 ]

@@ -7,7 +7,7 @@ deploy and study one total-order protocol: the replica-count rule
 which crypto scheme a sweep point actually exercises, and where the
 initial coordinator/primary sits (the target of fail-over studies).
 
-Plugins register themselves with :mod:`repro.protocols.registry`;
+Plugins register in :data:`repro.protocols.PROTOCOLS`;
 ``repro.harness.cluster``, ``repro.harness.experiments``,
 ``repro.harness.scenario`` and ``repro.failures.injector`` dispatch
 exclusively through that registry, so adding a protocol is one new

@@ -1,5 +1,5 @@
 """The suppression machinery: pragmas, the baseline, and the checker
-registry itself.
+table's own rules (builtin order, error type, code shape).
 
 Pragmas and baseline entries must be *accountable*: every waiver
 carries a reason, waives something real, and shows up in the report
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import registry
-from repro.analysis.base import Checker, SourceFile
+from repro.analysis.base import CHECKERS, Checker, SourceFile
 from repro.analysis.baseline import parse_baseline
 from repro.analysis.engine import lint_sources
 from repro.errors import AnalysisError
@@ -118,26 +117,33 @@ def test_malformed_baseline_lines_raise():
 # Checker registry
 # ----------------------------------------------------------------------
 def test_builtin_checkers_register_on_import():
-    assert registry.names() == (
+    assert CHECKERS.names() == (
         "RPR001", "RPR002", "RPR003", "RPR004", "RPR005"
     )
 
 
 def test_register_rejects_bad_codes_and_duplicates():
-    class Nameless(Checker):
-        code = ""
+    for code in ("", "rpr001", "RPR01", "R001", "RPR0001"):
+        class Misnamed(Checker):
+            pass
 
-    with pytest.raises(AnalysisError):
-        registry.register(Nameless)
+        Misnamed.code = code
+        with pytest.raises(AnalysisError, match="needs a code like 'RPR001'"):
+            CHECKERS.register(Misnamed)
 
     class Clashing(Checker):
         code = "RPR001"
 
-    with pytest.raises(AnalysisError):
-        registry.register(Clashing)
+    with pytest.raises(AnalysisError, match="already registered"):
+        CHECKERS.register(Clashing)
+    with pytest.raises(AnalysisError, match="unknown checker 'XYZ001'"):
+        CHECKERS.get("XYZ001")
+    assert CHECKERS.names() == (
+        "RPR001", "RPR002", "RPR003", "RPR004", "RPR005"
+    )
 
 
-def test_register_unregister_roundtrip():
+def test_custom_checker_runs_through_lint(monkeypatch):
     class Custom(Checker):
         code = "XYZ001"
         name = "custom"
@@ -145,15 +151,10 @@ def test_register_unregister_roundtrip():
         def check_file(self, file: SourceFile):
             yield self.finding(file, file.tree, "custom says hi")
 
-    registry.register(Custom)
-    try:
-        assert registry.get("XYZ001") is Custom
-        report = lint_sources([("repro/sim/x.py", "x = 1\n")])
-        assert [f.code for f in report.active()] == ["XYZ001"]
-    finally:
-        registry.unregister("XYZ001")
-    with pytest.raises(AnalysisError):
-        registry.get("XYZ001")
+    monkeypatch.setitem(CHECKERS.table, "XYZ001", Custom)
+    assert CHECKERS.get("XYZ001") is Custom
+    report = lint_sources([("repro/sim/x.py", "x = 1\n")])
+    assert [f.code for f in report.active()] == ["XYZ001"]
 
 
 def test_syntax_errors_are_analysis_errors():

@@ -1,11 +1,12 @@
-"""The probe registry: registration, lookup, kinds, directions."""
+"""The probe table: builtins, its error type, selection, kinds and
+directions.  The registration rule itself is tested once, in
+``tests/test_registry.py``."""
 
 import pytest
 
 import repro.harness.probes as probes
 from repro.errors import ConfigError, MetricsError
 from repro.harness.probes import (
-    MetricSeries,
     Probe,
     ProbeContext,
     ProbeReport,
@@ -31,32 +32,30 @@ class CommitCounter(Probe):
 
 
 @pytest.fixture
-def counter_registered():
-    probes.register(CommitCounter)
-    try:
-        yield
-    finally:
-        probes.unregister("commit-counter")
+def counter_registered(monkeypatch):
+    monkeypatch.setitem(probes.PROBES.table, "commit-counter", CommitCounter)
 
 
 def test_builtin_probes_registered():
-    assert set(probes.names()) >= {"order-latency", "throughput", "failover"}
+    assert probes.names() == (
+        "order-latency", "throughput", "failover", "recovery-timeline",
+        "client-fairness", "queue-depth", "crypto-cost",
+    )
 
 
 def test_register_requires_name_and_rejects_duplicates(counter_registered):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="already registered"):
         probes.register(CommitCounter)
-    probes.register(CommitCounter, replace=True)  # shadowing is explicit
 
     class Nameless(CommitCounter):
         name = ""
 
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="no name"):
         probes.register(Nameless)
 
 
 def test_get_unknown_probe_names_known():
-    with pytest.raises(ConfigError, match="unknown probe"):
+    with pytest.raises(ConfigError, match=r"unknown probe 'voltmeter'; known: \("):
         probes.get("voltmeter")
 
 
@@ -121,7 +120,6 @@ def test_probe_report_pickles_and_compares():
         protocol="sc", scheme="md5-rsa1024", f=2,
         probes=("order-latency",),
         values=(("latency_mean", 0.25),),
-        series=(MetricSeries("order_latency", ((0.1, 0.25),)),),
     )
     # repro: allow[RPR004] round-trip of an in-process value, no untrusted bytes
     clone = pickle.loads(pickle.dumps(report))

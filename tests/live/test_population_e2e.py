@@ -30,13 +30,13 @@ POPULATION = {"clients": 10_000, "id_distribution": "zipf", "zipf_s": 1.1}
 
 
 def _run_population_load(control: str, population_file: Path,
-                         bench_dir: Path) -> dict:
+                         bench_dir: Path, json_out: Path) -> dict:
     out = subprocess.run(
         [sys.executable, "-m", "repro", "load", "--control", control,
          "--rate", str(RATE), "--duration", str(DURATION),
          "--seed", str(SEED), "--client-id", "driver",
          "--population", str(population_file),
-         "--bench-dir", str(bench_dir)],
+         "--bench-dir", str(bench_dir), "--json", str(json_out)],
         env=_env(),
         capture_output=True,
         text=True,
@@ -50,12 +50,15 @@ def test_population_load_over_loopback_matches_sim_stream(tmp_path):
     population_file = tmp_path / "population.json"
     population_file.write_text(json.dumps(POPULATION))
     bench_dir = tmp_path / "bench"
+    json_out = tmp_path / "load.json"
 
     proc, control = start_serve(
         "--protocol", "sc", "--f", "1", "--duration", str(DURATION + 5)
     )
     try:
-        load = _run_population_load(control, population_file, bench_dir)
+        load = _run_population_load(
+            control, population_file, bench_dir, json_out
+        )
     finally:
         summary = finish_serve(proc, timeout=DURATION + 60)
 
@@ -103,3 +106,10 @@ def test_population_load_over_loopback_matches_sim_stream(tmp_path):
     assert point["kind"] == "live-population"
     assert point["x"] == float(POPULATION["clients"])
     assert point["metrics"]["committed"] > 0
+
+    # --json writes the full summary, per-request samples included,
+    # alongside the population fields.
+    written = json.loads(json_out.read_text())
+    assert len(written["samples"]) == load["committed"]
+    assert written["clients"] == POPULATION["clients"]
+    assert written["stream_digest"] == load["stream_digest"]
