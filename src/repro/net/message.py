@@ -1,4 +1,4 @@
-"""Message envelopes: what travels on the simulated wire."""
+"""Message envelopes: the view of a message in flight a hold predicate sees."""
 
 from __future__ import annotations
 
@@ -12,10 +12,12 @@ class Envelope:
     it drives transmission delay, marshalling cost and the byte counters
     the message-overhead comparison reads.
 
-    A plain ``__slots__`` class rather than a dataclass: the network
-    mints one per send — tens of thousands per run — and a frozen
-    dataclass pays an ``object.__setattr__`` per field.  Instances are
-    immutable by convention; nothing mutates an envelope in flight.
+    The network builds one only while a
+    :meth:`~repro.net.network.Network.hold_matching` predicate is set:
+    the predicate judges it, and a held envelope waits for
+    :meth:`~repro.net.network.Network.release_held`.  Otherwise a
+    message in flight is just its heap entry's arguments.  Instances
+    are immutable by convention.
     """
 
     __slots__ = (

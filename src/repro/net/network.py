@@ -11,11 +11,19 @@ Delivery pipeline for one message::
     sender actor          network                    receiving node
     -----------------     ----------------------     -------------------------
     send(dest, payload,   arrival = depart + delay   service = receive_service
-         size, depart) -> schedule at arrival    ->  done = cpu.submit(service)
+         size, depart) -> heap entry at arrival  ->  done = busy CPU + service
                                                      on_message at `done`
 
 so a burst of arrivals serialises on the receiver's CPU — the mechanism
 behind the saturation regions of Figures 4 and 5.
+
+A message in flight is just its arguments: ``send`` and ``multicast``
+push a plain ``[arrive, seq, _deliver, (dest, sender, payload, size)]``
+entry onto the simulator's heap, and ``_deliver`` pushes
+``[done, seq, on_message, (sender, payload)]``; both take ``seq`` from
+the simulator's queue like every other push.  An :class:`Envelope` is
+built only while a :meth:`Network.hold_matching` predicate needs one to
+look at.  ``send`` and ``multicast`` return ``None``.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from typing import Any, Callable, Iterable
 from repro.errors import ConfigError, SimulationError
 from repro.net.delay import DelayModel, LanDelay, LinkDelayStream
 from repro.net.message import Envelope
-from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.process import Actor
 
@@ -104,8 +111,8 @@ class Network:
         payload: Any,
         size_bytes: int,
         depart_time: float | None = None,
-    ) -> Envelope:
-        """Send one message; returns the (already scheduled) envelope.
+    ) -> None:
+        """Send one message; it is scheduled (or held) before this returns.
 
         ``depart_time`` is when the sender's CPU finished marshalling;
         it defaults to *now* and may not be in the past.
@@ -122,21 +129,12 @@ class Network:
                 f"depart_time {depart} is before now {now}"
             )
         key = (sender, dest)
-        entry = self._stream_cache.get(key)
-        if entry is None:
-            entry = self._resolve_link(key)
-        stream, dedicated = entry
-        delay = stream.sample(size_bytes, depart)
+        link = self._stream_cache.get(key)
+        if link is None:
+            link = self._resolve_link(key)
+        stream, dedicated = link
+        arrive = depart + stream.sample(size_bytes, depart)
         msg_id = self._next_msg_id
-        envelope = Envelope(
-            msg_id=msg_id,
-            sender=sender,
-            dest=dest,
-            payload=payload,
-            size_bytes=size_bytes,
-            depart_time=depart,
-            arrive_time=depart + delay,
-        )
         self._next_msg_id = msg_id + 1
         self.messages_sent += 1
         self.bytes_sent += size_bytes
@@ -145,11 +143,18 @@ class Network:
         by_sender = self.messages_by_sender
         by_sender[sender] = by_sender.get(sender, 0) + 1
         hold = self._hold_predicate
-        if hold is not None and hold(envelope):
-            self._held.append(envelope)
-        else:
-            sim.schedule_at(envelope.arrive_time, self._deliver, envelope)
-        return envelope
+        if hold is not None:
+            envelope = Envelope(msg_id, sender, dest, payload, size_bytes, depart, arrive)
+            if hold(envelope):
+                self._held.append(envelope)
+                return
+        # Inlined Simulator.schedule_at minus the handle (keep in
+        # lockstep): nothing cancels a delivery.
+        queue = sim._queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        entry = [arrive, seq, self._deliver, (dest, sender, payload, size_bytes)]
+        heappush(queue._heap, entry)
 
     def _resolve_link(self, key: tuple[str, str]) -> tuple[LinkDelayStream, bool]:
         """Build and cache the resolved stream for one directed link."""
@@ -182,7 +187,14 @@ class Network:
         held, self._held = self._held, []
         for envelope in held:
             deliver_at = max(envelope.arrive_time, self.sim.now)
-            self.sim.schedule_at(deliver_at, self._deliver, envelope)
+            self.sim.schedule_at(
+                deliver_at,
+                self._deliver,
+                envelope.dest,
+                envelope.sender,
+                envelope.payload,
+                envelope.size_bytes,
+            )
 
     @property
     def held_count(self) -> int:
@@ -196,16 +208,17 @@ class Network:
         payload: Any,
         size_bytes: int,
         depart_time: float | None = None,
-    ) -> list[Envelope]:
+    ) -> None:
         """Send the same payload to several destinations.
 
         Each copy is an independent unicast (the paper's implementation
         uses point-to-point TCP, not IP multicast), so each samples its
-        own delay and counts toward the message totals.  The loop body
-        is :meth:`send` with the per-call validation, clock reads and
-        sender bookkeeping hoisted out — a protocol round multicasts to
-        every process, so this is the second-hottest network entry
-        point after delivery.
+        own delay and counts toward the message totals.  Every
+        destination is checked before the first copy is scheduled, so
+        an unknown one sends nothing.  The loop body is :meth:`send`
+        with the per-call validation, clock reads and sender bookkeeping
+        hoisted out — a client multicasts every request to every
+        process.
         """
         if size_bytes < 0:
             raise ConfigError(f"negative message size {size_bytes}")
@@ -215,60 +228,57 @@ class Network:
         if depart < now:
             raise SimulationError(f"depart_time {depart} is before now {now}")
         actors = self._actors
-        cache = self._stream_cache
-        hold = self._hold_predicate
-        envelopes: list[Envelope] = []
-        n_sent = 0
-        n_dedicated = 0
-        msg_id = self._next_msg_id
-        for dest in dests:
+        targets = tuple(dests)
+        for dest in targets:
             if dest not in actors:
                 raise ConfigError(f"message to unknown actor {dest!r}")
-            entry = cache.get((sender, dest))
-            if entry is None:
-                entry = self._resolve_link((sender, dest))
-            stream, dedicated = entry
-            delay = stream.sample(size_bytes, depart)
-            envelope = Envelope(
-                msg_id=msg_id,
-                sender=sender,
-                dest=dest,
-                payload=payload,
-                size_bytes=size_bytes,
-                depart_time=depart,
-                arrive_time=depart + delay,
-            )
-            msg_id += 1
-            n_sent += 1
+        cache = self._stream_cache
+        hold = self._hold_predicate
+        deliver = self._deliver
+        queue = sim._queue
+        heap = queue._heap
+        n_dedicated = 0
+        for msg_id, dest in enumerate(targets, self._next_msg_id):
+            key = (sender, dest)
+            link = cache.get(key)
+            if link is None:
+                link = self._resolve_link(key)
+            stream, dedicated = link
+            arrive = depart + stream.sample(size_bytes, depart)
             if dedicated:
                 n_dedicated += 1
-            if hold is not None and hold(envelope):
-                self._held.append(envelope)
-            else:
-                sim.schedule_at(envelope.arrive_time, self._deliver, envelope)
-            envelopes.append(envelope)
-        self._next_msg_id = msg_id
+            if hold is not None:
+                envelope = Envelope(
+                    msg_id, sender, dest, payload, size_bytes, depart, arrive
+                )
+                if hold(envelope):
+                    self._held.append(envelope)
+                    continue
+            seq = queue._seq
+            queue._seq = seq + 1
+            heappush(heap, [arrive, seq, deliver, (dest, sender, payload, size_bytes)])
+        n_sent = len(targets)
+        self._next_msg_id += n_sent
         self.messages_sent += n_sent
         self.bytes_sent += n_sent * size_bytes
         self.pair_messages_sent += n_dedicated
         if n_sent:
             by_sender = self.messages_by_sender
             by_sender[sender] = by_sender.get(sender, 0) + n_sent
-        return envelopes
 
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
-    def _deliver(self, envelope: Envelope) -> None:
-        actor = self._actors.get(envelope.dest)
+    def _deliver(self, dest: str, sender: str, payload: Any, size_bytes: int) -> None:
+        actor = self._actors.get(dest)
         if actor is None:  # actor detached mid-flight; drop silently
             return
-        service = actor.receive_service(envelope.payload, envelope.size_bytes)
+        service = actor.receive_service(payload, size_bytes)
         if service <= 0.0:
             # Zero-service messages model interrupt-level handling
             # (heartbeats, keepalives): they do not queue behind the
             # node's protocol work.
-            actor.on_message(envelope.sender, envelope.payload)
+            actor.on_message(sender, payload)
             return
         # Inlined Cpu.submit + Simulator.schedule_at (bit-identical
         # arithmetic; keep in lockstep with both): this pair runs once
@@ -290,8 +300,5 @@ class Network:
         cpu.tasks_run += 1
         queue = sim._queue
         seq = queue._seq
-        event = Event(
-            completion, seq, actor.on_message, (envelope.sender, envelope.payload), queue
-        )
         queue._seq = seq + 1
-        heappush(queue._heap, (completion, seq, event))
+        heappush(queue._heap, [completion, seq, actor.on_message, (sender, payload)])

@@ -1,21 +1,34 @@
-"""Event objects and the pending-event queue.
+"""Heap entries and the pending-event queue.
 
-Events are ordered by ``(time, sequence)`` where ``sequence`` is a
-monotonically increasing insertion counter.  Two events scheduled for the
-same instant therefore fire in the order they were scheduled, which makes
-whole simulations deterministic functions of their seed.
+A pending event *is* its heap entry: a list laid out as
 
-The queue supports two consumption styles: the classic one-event
-:meth:`EventQueue.pop_due`, and the kernel's batched
-:meth:`EventQueue.pop_due_batch`, which drains every live event sharing
-the earliest due timestamp in a single heap traversal so the run loop
-pays the method-call and bookkeeping overhead once per *slot* rather
-than once per event.
+    [time, seq, callback, args, queue]
+
+where ``seq`` is a monotonically increasing insertion counter.  heapq
+orders entries with list comparison in C, and ``(time, seq)`` is unique
+per entry, so the comparison never reaches the callback slot.  Two
+events scheduled for the same instant therefore fire in the order they
+were scheduled, which makes whole simulations deterministic functions
+of their seed.
+
+Only a handle a caller can cancel needs to be an :class:`Event` (a
+``list`` subclass with no per-instance storage of its own).  Internal
+layers that never hand out a handle, the network's deliveries and CPU
+completions, push plain ``[time, seq, callback, args]`` lists taken
+from the same counter.  Cancelling clears the callback slot: the entry
+stays in the heap and is discarded when it reaches the top (lazy
+deletion), so cancellation is O(1).
+
+:meth:`EventQueue.pop_due_batch` drains every live entry sharing the
+earliest due timestamp in one heap traversal, so a consumer pays the
+method-call and bookkeeping overhead once per *slot* rather than once
+per event.  The kernel's run loop inlines it.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -27,67 +40,55 @@ from repro.errors import SimulationError
 _MIN_COMPACT_SIZE = 64
 
 
-class Event:
-    """A callback scheduled to run at a virtual time.
+class Event(list[Any]):
+    """A cancellable heap entry ``[time, seq, callback, args, queue]``.
 
-    Instances are created by the simulator; user code only holds them to
-    :meth:`cancel` timers.  A cancelled event stays in the heap but is
-    skipped when popped (lazy deletion), which keeps cancellation O(1).
+    Instances are created by the simulator, through list's own
+    constructor; user code only holds them to :meth:`cancel` timers.
     The owning queue counts cancellations and compacts itself when
     cancelled entries dominate, so mass-cancellation cannot pin
     arbitrary memory until the timestamps are reached.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_queue")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple[Any, ...],
-        queue: "EventQueue | None" = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._queue = queue
+    time = property(itemgetter(0), doc="Virtual time the event fires at.")
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Cancelling twice is an error."""
-        if self.cancelled:
-            raise SimulationError(f"event at t={self.time} cancelled twice")
-        self.cancelled = True
-        queue = self._queue
-        if queue is not None:
-            queue._note_cancelled()
+        if self[2] is None:
+            raise SimulationError(f"event at t={self[0]} cancelled twice")
+        self[2] = None
+        self[4]._note_cancelled()
+
+    @property
+    def cancelled(self) -> bool:
+        """True once :meth:`cancel` has cleared the callback slot."""
+        return self[2] is None
 
     @property
     def active(self) -> bool:
         """True while the event is still going to fire."""
-        return not self.cancelled
+        return self[2] is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "active"
-        name = getattr(self.callback, "__name__", repr(self.callback))
-        return f"Event(t={self.time:.6f}, seq={self.seq}, {name}, {state})"
+        time, seq, callback = self[0], self[1], self[2]
+        if callback is None:
+            return f"Event(t={time:.6f}, seq={seq}, cancelled)"
+        name = getattr(callback, "__name__", repr(callback))
+        return f"Event(t={time:.6f}, seq={seq}, {name})"
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` with deterministic ordering.
+    """Min-heap of entries with deterministic ``(time, seq)`` ordering.
 
-    The heap stores ``(time, seq, event)`` triples so that every
-    comparison during sift-up/down is a C-level tuple comparison (a
-    Python-level ``__lt__`` was one of the hottest functions in a
-    profiled sweep, so :class:`Event` defines no ordering) while the
-    public API still trades in :class:`Event` handles.  ``(time, seq)``
-    is unique per event, so the ``event`` slot is never compared.
+    ``_heap`` and ``_seq`` are read directly by the kernel and the
+    network, which push entries without a method call; every push takes
+    the next ``_seq``.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[list[Any]] = []
         self._seq = 0
         self._cancelled = 0
 
@@ -99,20 +100,10 @@ class EventQueue:
     ) -> Event:
         """Insert a callback to run at ``time`` and return its handle."""
         seq = self._seq
-        event = Event(time, seq, callback, args, self)
         self._seq = seq + 1
-        heapq.heappush(self._heap, (time, seq, event))
+        event = Event((time, seq, callback, args, self))
+        heapq.heappush(self._heap, event)
         return event
-
-    def requeue(self, event: Event) -> None:
-        """Put a popped-but-unfired event back.
-
-        The event keeps its original ``(time, seq)`` key, so ordering
-        relative to everything else is exactly as if it had never been
-        popped.  The kernel uses this when ``stop()`` or the
-        ``max_events`` guard interrupts a half-consumed batch.
-        """
-        heapq.heappush(self._heap, (event.time, event.seq, event))
 
     def _note_cancelled(self) -> None:
         """Record a cancellation; compact once cancelled entries dominate."""
@@ -128,67 +119,42 @@ class EventQueue:
         reference to the heap list, so the list object's identity must
         survive compaction.
         """
-        live = [entry for entry in self._heap if not entry[2].cancelled]
+        live = [entry for entry in self._heap if entry[2] is not None]
         heapq.heapify(live)
         self._heap[:] = live
         self._cancelled = 0
 
-    def pop_due(self, until: float | None = None) -> Event | None:
-        """Pop the earliest live event firing at or before ``until``.
+    def pop_due_batch(self, until: float | None, out: list[list[Any]]) -> float | None:
+        """Drain the earliest due *slot* — all live entries sharing one time.
 
-        The one-event reference for :meth:`pop_due_batch`: one heap
-        traversal finds, checks and removes the head.  ``pop_due()``
-        pops the earliest live event whatever its time.  An event
-        beyond ``until`` stays queued; cancelled events ahead of it are
-        discarded either way.  Returns ``None`` when nothing is due.
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap:
-            first = heap[0]
-            if first[2].cancelled:
-                heappop(heap)
-                self._cancelled -= 1
-                continue
-            if until is not None and first[0] > until:
-                return None
-            heappop(heap)
-            return first[2]
-        return None
-
-    def pop_due_batch(self, until: float | None, out: list[Event]) -> float | None:
-        """Drain the earliest due *slot* — all live events sharing one time.
-
-        Appends every live event whose firing time equals the earliest
+        Appends every live entry whose firing time equals the earliest
         due timestamp to ``out`` (in seq order, since equal-time heap
         entries pop in seq order) and returns that timestamp.  Returns
         ``None`` — appending nothing — when the queue is empty or the
-        earliest live event lies beyond ``until``.
+        earliest live entry lies beyond ``until``.
 
-        Events scheduled *during* the batch's execution for the same
+        Entries pushed *during* the batch's execution for the same
         instant land in the next slot with higher sequence numbers, so
-        firing order is identical to the one-event loop.  Cancelled
-        entries encountered along the way are discarded.
+        firing order is identical to a one-event-at-a-time loop.
+        Cancelled entries encountered along the way are discarded.
         """
         heap = self._heap
         heappop = heapq.heappop
         while heap:
             first = heap[0]
-            event = first[2]
-            if event.cancelled:
+            if first[2] is None:
                 heappop(heap)
                 self._cancelled -= 1
                 continue
             slot = first[0]
             if until is not None and slot > until:
                 return None
-            heappop(heap)
-            out.append(event)
+            out.append(heappop(heap))
             while heap and heap[0][0] == slot:
-                event = heappop(heap)[2]
-                if event.cancelled:
+                entry = heappop(heap)
+                if entry[2] is None:
                     self._cancelled -= 1
                 else:
-                    out.append(event)
+                    out.append(entry)
             return slot
         return None

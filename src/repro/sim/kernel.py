@@ -8,11 +8,15 @@ callbacks.  Determinism rests on two properties:
 * all randomness flows through :class:`~repro.sim.rng.RngRegistry`
   streams derived from the simulation seed.
 
-The run loop consumes the queue one *slot* at a time via
-:meth:`~repro.sim.events.EventQueue.pop_due_batch`: all events sharing
-the earliest due timestamp are drained in a single heap traversal and
-fired back-to-back, so the clock is written once per slot and the heap
-maintenance cost is amortized across same-time bursts.
+The queue holds bare heap entries (see ``repro.sim.events``): an event
+costs one list, ordered by heapq in C, and firing it is
+``entry[2](*entry[3])``.  The run loop inlines
+:meth:`~repro.sim.events.EventQueue.pop_due_batch`: a slot of one
+entry, the common case since link jitter makes most firing times
+unique, fires straight off the heap; a slot of several is drained in
+one traversal and fired back-to-back, so the clock is written once per
+slot.  Entries an interrupted slot leaves unfired go back on the heap
+with their original keys.
 """
 
 from __future__ import annotations
@@ -79,14 +83,14 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time}: clock already at t={self.now}"
             )
-        # Inlined EventQueue.push: every network delivery and CPU
-        # completion passes through here, and the extra frame was
+        # Inlined EventQueue.push: the harness installs every client
+        # arrival of a run through here, and the extra frame was
         # measurable.  Keep in lockstep with push().
         queue = self._queue
         seq = queue._seq
-        event = Event(time, seq, callback, args, queue)
         queue._seq = seq + 1
-        heappush(queue._heap, (time, seq, event))
+        event = Event((time, seq, callback, args, queue))
+        heappush(queue._heap, event)
         return event
 
     def stop(self) -> None:
@@ -112,61 +116,59 @@ class Simulator:
         fired = 0
         # Hot loop.  This inlines EventQueue.pop_due_batch — the same
         # slot-draining discipline, minus a method call per slot; keep
-        # the two in lockstep.  The ``heap`` alias stays valid across
-        # callbacks because pushes mutate the list and _compact rebuilds
-        # it in place.  ``self._stopped`` must be re-read after every
-        # callback — callbacks flip it via stop().
+        # the two in lockstep.  An entry is ``[time, seq, callback,
+        # args, ...]`` and a cleared callback slot means cancelled.  The
+        # ``heap`` alias stays valid across callbacks because pushes
+        # mutate the list and _compact rebuilds it in place.
+        # ``self._stopped`` must be re-read after every callback —
+        # callbacks flip it via stop().
         queue = self._queue
         heap = queue._heap
         pop = heappop
-        batch: list[Event] = []
+        batch: list[list[Any]] = []
         try:
             while not self._stopped:
-                event = None
-                while heap:
-                    first = heap[0]
-                    candidate = first[2]
-                    if candidate.cancelled:
-                        pop(heap)
-                        queue._cancelled -= 1
-                        continue
-                    if until is not None and first[0] > until:
-                        break
-                    event = candidate
-                    slot = first[0]
+                # Lazy deletion: cancelled entries die at the top.
+                while heap and heap[0][2] is None:
+                    pop(heap)
+                    queue._cancelled -= 1
+                if not heap:
                     break
-                if event is None:
+                entry = heap[0]
+                slot = entry[0]
+                if until is not None and slot > until:
                     break
                 pop(heap)
                 self.now = slot
                 if not (heap and heap[0][0] == slot):
                     # Dominant case — a slot of one (jitter makes most
                     # firing times unique): fire without batch staging.
-                    event.callback(*event.args)
+                    entry[2](*entry[3])
                     fired += 1
                     if max_events is not None and fired >= max_events:
                         raise SimulationError(
                             f"exceeded max_events={max_events}; runaway simulation?"
                         )
                     continue
-                batch.append(event)
+                batch.append(entry)
                 while heap and heap[0][0] == slot:
-                    event = pop(heap)[2]
-                    if event.cancelled:
+                    entry = pop(heap)
+                    if entry[2] is None:
                         queue._cancelled -= 1
                     else:
-                        batch.append(event)
+                        batch.append(entry)
                 i = 0
                 n = len(batch)
                 try:
                     while i < n:
-                        event = batch[i]
+                        entry = batch[i]
                         i += 1
                         # A callback earlier in the slot may cancel a
-                        # later event of the same slot.
-                        if event.cancelled:
+                        # later entry of the same slot.
+                        callback = entry[2]
+                        if callback is None:
                             continue
-                        event.callback(*event.args)
+                        callback(*entry[3])
                         fired += 1
                         if max_events is not None and fired >= max_events:
                             raise SimulationError(
@@ -176,12 +178,12 @@ class Simulator:
                             break
                 finally:
                     # stop(), the max_events guard or a raising callback
-                    # can interrupt a half-consumed slot; unfired events
-                    # go back with their original keys so a later run()
-                    # resumes exactly where this one left off.
-                    if i < n:
-                        for event in batch[i:]:
-                            queue.requeue(event)
+                    # can interrupt a half-consumed slot; unfired
+                    # entries go back with their original keys, so a
+                    # later run() resumes exactly where this one left
+                    # off.
+                    for entry in batch[i:]:
+                        heappush(heap, entry)
                     batch.clear()
             if until is not None and not self._stopped and self.now < until:
                 self.now = until

@@ -116,3 +116,81 @@ def test_messages_by_sender_counter():
     net.send("a", "b", "y", 10)
     net.send("b", "a", "z", 10)
     assert net.messages_by_sender == {"a": 2, "b": 1}
+
+
+def test_multicast_with_an_unknown_destination_sends_nothing():
+    sim, net, a, b = make_net()
+    c = Recorder(sim, "c")
+    net.attach(c)
+    with pytest.raises(ConfigError):
+        net.multicast("a", ["b", "c", "zzz"], "m", size_bytes=50)
+    sim.run()
+    assert b.received == [] and c.received == []
+    assert sim.events_processed == 0
+    assert (net.messages_sent, net.bytes_sent, net.pair_messages_sent) == (0, 0, 0)
+    assert net.messages_by_sender == {}
+    assert net._next_msg_id == 0
+
+
+class Logger(Recorder):
+    """Records every delivery, with its destination, in one shared log."""
+
+    def __init__(self, sim, name, log):
+        super().__init__(sim, name, service=0.0005)
+        self.log = log
+
+    def on_message(self, sender, payload):
+        self.log.append((self.sim.now, sender, self.name, payload))
+
+
+def _mixed_traffic(predicate):
+    """Unicasts, multicasts and a dedicated link under LAN jitter."""
+    sim = Simulator(seed=3)
+    net = Network(sim)
+    log = []
+    for name in "abcd":
+        net.attach(Logger(sim, name, log))
+    net.set_link("a", "b", ConstantDelay(0.0001))
+    if predicate is not None:
+        net.hold_matching(predicate)
+    for i in range(20):
+        sim.schedule(i * 0.001, net.multicast, "a", ["b", "c", "d"], f"m{i}", 100 + i)
+        sim.schedule(i * 0.0015, net.send, "c", "d", f"u{i}", 64)
+        sim.schedule(i * 0.0007, net.send, "b", "a", f"v{i}", 32)
+    sim.run()
+    return (
+        log,
+        sim.events_processed,
+        net.messages_sent,
+        net.bytes_sent,
+        net.pair_messages_sent,
+        net.messages_by_sender,
+    )
+
+
+def test_hold_predicate_that_holds_nothing_changes_nothing():
+    plain = _mixed_traffic(None)
+    assert len(plain[0]) == 100 and plain[4] == 20
+    assert _mixed_traffic(lambda envelope: False) == plain
+
+
+def test_released_envelope_delivers_at_arrival_or_now_whichever_is_later():
+    sim, net, a, b = make_net()
+    held = []
+    net.hold_matching(lambda envelope: held.append(envelope) or True)
+    net.send("a", "b", "early", size_bytes=10)
+    # Released before it would have arrived: it keeps its arrival time.
+    sim.schedule(0.0004, net.release_held)
+    sim.run()
+    (early,) = held
+    assert (early.sender, early.dest, early.payload) == ("a", "b", "early")
+    assert b.received == [(early.arrive_time, "a", "early")]
+    assert early.arrive_time == pytest.approx(0.001)
+    net.hold_matching(lambda envelope: held.append(envelope) or True)
+    net.send("a", "b", "late", size_bytes=10)
+    sim.run(until=0.5)
+    assert net.held_count == 1 and held[1].arrive_time < 0.5
+    # Released after its arrival time: it is delivered now.
+    net.release_held()
+    sim.run()
+    assert b.received[1:] == [(0.5, "a", "late")]

@@ -1,9 +1,19 @@
 """Unit tests for the event queue."""
 
+import heapq
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.events import EventQueue
+
+
+def _drain(q, until=None):
+    """Every live entry due by ``until``, one pop_due_batch slot at a time."""
+    out = []
+    while q.pop_due_batch(until, out) is not None:
+        pass
+    return out
 
 
 def test_pop_returns_events_in_time_order():
@@ -12,18 +22,16 @@ def test_pop_returns_events_in_time_order():
     q.push(3.0, fired.append, ("c",))
     q.push(1.0, fired.append, ("a",))
     q.push(2.0, fired.append, ("b",))
-    times = []
-    while (event := q.pop_due()) is not None:
-        times.append(event.time)
-    assert times == [1.0, 2.0, 3.0]
+    assert [event.time for event in _drain(q)] == [1.0, 2.0, 3.0]
 
 
 def test_ties_break_by_insertion_order():
     q = EventQueue()
     first = q.push(1.0, lambda: None, ())
     second = q.push(1.0, lambda: None, ())
-    assert q.pop_due() is first
-    assert q.pop_due() is second
+    popped = _drain(q)
+    assert len(popped) == 2
+    assert popped[0] is first and popped[1] is second
 
 
 def test_cancelled_events_are_skipped():
@@ -31,8 +39,9 @@ def test_cancelled_events_are_skipped():
     keep = q.push(2.0, lambda: None, ())
     drop = q.push(1.0, lambda: None, ())
     drop.cancel()
-    assert q.pop_due() is keep
-    assert q.pop_due() is None
+    popped = _drain(q)
+    assert len(popped) == 1 and popped[0] is keep
+    assert len(q) == 0
 
 
 def test_cancel_twice_raises():
@@ -48,13 +57,16 @@ def test_pop_due_leaves_events_beyond_until():
     early = q.push(1.0, lambda: None, ())
     late = q.push(2.0, lambda: None, ())
     early.cancel()
-    assert q.pop_due(1.5) is None
+    assert _drain(q, 1.5) == []
     assert len(q) == 1
-    assert q.pop_due(2.0) is late
+    popped = _drain(q, 2.0)
+    assert len(popped) == 1 and popped[0] is late
 
 
 def test_pop_due_empty_queue():
-    assert EventQueue().pop_due() is None
+    out = []
+    assert EventQueue().pop_due_batch(None, out) is None
+    assert out == []
 
 
 def test_len_counts_pushed_events():
@@ -81,10 +93,10 @@ def test_pop_due_batch_drains_one_slot_in_seq_order():
     out = []
     slot = q.pop_due_batch(None, out)
     assert slot == 1.0
-    assert [e.args[0] for e in out] == ["a", "b"]
+    assert [e[3][0] for e in out] == ["a", "b"]
     out.clear()
     assert q.pop_due_batch(None, out) == 2.0
-    assert [e.args[0] for e in out] == ["late"]
+    assert [e[3][0] for e in out] == ["late"]
     out.clear()
     assert q.pop_due_batch(None, out) is None
     assert out == []
@@ -99,7 +111,7 @@ def test_pop_due_batch_respects_until_and_skips_cancelled():
     doomed.cancel()
     out = []
     assert q.pop_due_batch(2.0, out) == 1.0
-    assert [e.args[0] for e in out] == ["live"]
+    assert [e[3][0] for e in out] == ["live"]
     out.clear()
     assert q.pop_due_batch(2.0, out) is None  # 5.0 is beyond until
     assert len(q) == 1
@@ -110,14 +122,31 @@ def test_requeue_preserves_time_and_seq_ordering():
     fired = []
     q.push(1.0, fired.append, ("a",))
     q.push(1.0, fired.append, ("b",))
+    q.push(1.0, fired.append, ("c",))
     out = []
     q.pop_due_batch(None, out)
-    # Put the second event back (the kernel does this when stop() cuts
-    # a batch short) and drain again: it must still come out, alone.
-    q.requeue(out[1])
+    # Put the unfired entries back the way the kernel does when stop()
+    # cuts a slot short: a plain heappush keeps each entry's original
+    # (time, seq) key, so they drain again in their old order.
+    for entry in reversed(out[1:]):
+        heapq.heappush(q._heap, entry)
     out2 = []
     assert q.pop_due_batch(None, out2) == 1.0
-    assert [e.args[0] for e in out2] == ["b"]
+    assert [entry[3][0] for entry in out2] == ["b", "c"]
+
+
+def test_event_is_its_heap_entry():
+    # The handle the queue returns is the entry heapq orders: the
+    # layout is [time, seq, callback, args, queue] and cancelling
+    # clears the callback slot.
+    q = EventQueue()
+    callback = print
+    event = q.push(2.5, callback, ("x",))
+    assert q._heap == [event] and q._heap[0] is event
+    assert list(event) == [2.5, 0, callback, ("x",), q]
+    assert event.time == 2.5 and event.active and not event.cancelled
+    event.cancel()
+    assert event[2] is None and event.cancelled and not event.active
 
 
 def test_mass_cancellation_compacts_the_heap():
