@@ -72,6 +72,11 @@ class OrderProductionWatch:
     legitimately leaves the excess requests waiting for later
     batching intervals; what a correct coordinator never does is stop
     producing order decisions entirely while requests are pending.
+
+    Requests are tracked in a dict filled by ``setdefault(key, now)``
+    under a clock that never goes back, so insertion order is arrival
+    order and the oldest tracked request is the dict's first entry: a
+    sweep reads it in O(1), however many requests are owed an order.
     """
 
     def __init__(
@@ -120,11 +125,10 @@ class OrderProductionWatch:
             return
         now = self._actor.sim.now
         if self._arrivals:
-            oldest = min(self._arrivals.values())
-            stalled = now - max(self._last_progress, oldest) > self.deadline
-            if stalled:
+            key = next(iter(self._arrivals))
+            oldest = self._arrivals[key]
+            if now - max(self._last_progress, oldest) > self.deadline:
                 self._running = False
-                key = min(self._arrivals, key=lambda k: self._arrivals[k])
                 self._on_miss(key)
                 return
         self._actor.set_timer(self._sweep_interval, self._sweep)

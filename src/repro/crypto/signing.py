@@ -22,12 +22,21 @@ import hashlib
 import hmac
 import random
 from dataclasses import dataclass
+from typing import Any
 
 from repro.crypto import dsa, rsa
 from repro.crypto.canon import FieldsOnly
 from repro.crypto.keys import DsaParameters
 from repro.crypto.schemes import CryptoScheme
 from repro.errors import ConfigError, CryptoError
+
+#: Size of a SHA-256 HMAC, the core of every simulated token.
+_MAC_BYTES = 32
+#: HMAC (RFC 2104) over SHA-256: keys are zero-padded to the 64-byte
+#: block and xored with these pads (as ``bytes.translate`` tables).
+_BLOCK_BYTES = 64
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -75,19 +84,32 @@ class SimulatedSignatureProvider(SignatureProvider):
 
     def __init__(self, scheme: CryptoScheme, names: list[str], seed: int = 0) -> None:
         self.scheme = scheme
-        self._secrets = {
-            name: hashlib.sha256(f"dealer/{seed}/{name}".encode()).digest()
-            for name in names
-        }
+        # Per process, the two SHA-256 states an HMAC under its 32-byte
+        # dealer secret starts from: a token copies them rather than
+        # rekeying, which costs as much again as the hashing itself.
+        self._pads: dict[str, tuple[Any, Any]] = {}
+        for name in names:
+            key = hashlib.sha256(f"dealer/{seed}/{name}".encode()).digest()
+            key = key.ljust(_BLOCK_BYTES, b"\0")
+            self._pads[name] = (
+                hashlib.sha256(key.translate(_IPAD)),
+                hashlib.sha256(key.translate(_OPAD)),
+            )
+        # A token is the MAC repeated out to the scheme's signature
+        # size (never cut below the MAC itself).
+        self._width = max(scheme.signature_bytes, _MAC_BYTES)
+        self._repeats = self._width // _MAC_BYTES + 1
 
     def _token(self, name: str, data: bytes) -> bytes:
-        secret = self._secrets[name]
-        mac = hmac.new(secret, data, hashlib.sha256).digest()
-        width = max(self.scheme.signature_bytes, len(mac))
-        return (mac * (width // len(mac) + 1))[:width]
+        inner_pad, outer_pad = self._pads[name]
+        inner = inner_pad.copy()
+        inner.update(data)
+        outer = outer_pad.copy()
+        outer.update(inner.digest())
+        return (outer.digest() * self._repeats)[: self._width]
 
     def sign(self, signer: str, data: bytes) -> Signature:
-        if signer not in self._secrets:
+        if signer not in self._pads:
             raise CryptoError(f"no key provisioned for {signer!r}")
         return Signature(
             signer=signer, scheme=self.scheme.name, value=self._token(signer, data)
@@ -98,7 +120,7 @@ class SimulatedSignatureProvider(SignatureProvider):
             return False
         if signature.scheme != self.scheme.name:
             return False
-        if claimed_signer not in self._secrets:
+        if claimed_signer not in self._pads:
             return False
         return hmac.compare_digest(signature.value, self._token(claimed_signer, data))
 

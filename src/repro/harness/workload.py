@@ -14,8 +14,10 @@ not O(clients).
 from __future__ import annotations
 
 import random
+from heapq import heappush
 from typing import Iterator
 
+from repro.core.client import Client
 from repro.core.requests import ClientRequest
 from repro.errors import ConfigError
 from repro.harness.cluster import Cluster
@@ -109,26 +111,59 @@ class OpenLoopWorkload:
         self.spacing = spacing
         self.stream = stream
         self.issued = 0
+        self._installed = False
+        self._times: list[float] = []
+        self._first_seq = 0
+        self._pushed = 0
 
     def install(self) -> None:
-        """Schedule every arrival up front (deterministic given seed).
+        """Put the first arrival on the heap; each arrival pushes the next.
 
-        Each workload draws from its own named RNG stream, so several
-        (e.g. a base load plus bursts) compose without correlating or
-        perturbing one another's arrival sequences.
+        The times are drawn here and one seq per arrival is reserved, so
+        every arrival fires with the ``(time, seq)`` key pushing all of
+        them now would give it (a tie with a timer resolves the same
+        way).  Arrivals sharing an instant are pushed together, before
+        their slot.  Each workload draws from its own named RNG stream,
+        so several (e.g. a base load plus bursts) compose without
+        perturbing one another.  A second install raises ``ConfigError``.
         """
+        if self._installed:
+            raise ConfigError("OpenLoopWorkload.install() called twice")
+        self._installed = True
         sim = self.cluster.sim
         rng = sim.rng.stream(self.stream) if self.spacing == "poisson" else None
-        clients = self.cluster.clients
-        times = arrival_times(
-            self.rate, self.duration, self.spacing, rng, self.start
+        self._times = list(
+            arrival_times(self.rate, self.duration, self.spacing, rng, self.start)
         )
-        for i, t in enumerate(times):
-            sim.schedule_at(t, self._issue, clients[i % len(clients)])
+        queue = sim._queue
+        self._first_seq = queue._seq
+        queue._seq += len(self._times)
+        if self._times:
+            self._push_from(0)
 
-    def _issue(self, client) -> None:
+    def _push_from(self, i: int) -> None:
+        """Push arrival ``i`` and every later one at the same instant."""
+        times = self._times
+        clients = self.cluster.clients
+        heap = self.cluster.sim._queue._heap
+        t = times[i]
+        n = len(times)
+        while True:
+            client = clients[i % len(clients)]
+            heappush(heap, [t, self._first_seq + i, self._arrive, (client,)])
+            i += 1
+            if i == n or times[i] != t:
+                break
+        self._pushed = i
+
+    def _arrive(self, client: Client) -> None:
+        # Arrivals fire in index order, so this is arrival ``issued``;
+        # the last one pushed pushes the next instant's.
+        nxt = self.issued + 1
+        if nxt == self._pushed and nxt < len(self._times):
+            self._push_from(nxt)
         client.issue()
-        self.issued += 1
+        self.issued = nxt
 
 
 class VirtualClientPool(Actor):

@@ -12,6 +12,9 @@ Delivery pipeline for one message::
     -----------------     ----------------------     -------------------------
     send(dest, payload,   arrival = depart + delay   service = receive_service
          size, depart) -> heap entry at arrival  ->  done = busy CPU + service
+                                                     idle CPU: heap entry at `done`
+                                                     busy CPU: CPU run queue, on
+                                                       the heap once at its head
                                                      on_message at `done`
 
 so a burst of arrivals serialises on the receiver's CPU — the mechanism
@@ -19,11 +22,16 @@ behind the saturation regions of Figures 4 and 5.
 
 A message in flight is just its arguments: ``send`` and ``multicast``
 push a plain ``[arrive, seq, _deliver, (dest, sender, payload, size)]``
-entry onto the simulator's heap, and ``_deliver`` pushes
-``[done, seq, on_message, (sender, payload)]``; both take ``seq`` from
-the simulator's queue like every other push.  An :class:`Envelope` is
-built only while a :meth:`Network.hold_matching` predicate needs one to
-look at.  ``send`` and ``multicast`` return ``None``.
+entry onto the simulator's heap.  ``_deliver`` takes the completion's
+``seq`` at arrival, like every other push, and for an idle CPU pushes
+``[done, seq, on_message, (sender, payload)]``.  Behind a busy CPU the
+same entry joins the CPU's run queue (:mod:`repro.sim.cpu`) instead:
+only the queue's head is on the heap, so a saturated node's backlog
+costs no heap depth, and every completion still fires with the key it
+got on arrival.  An
+:class:`Envelope` is built only while a :meth:`Network.hold_matching`
+predicate needs one to look at.  ``send`` and ``multicast`` return
+``None``.
 """
 
 from __future__ import annotations
@@ -283,22 +291,34 @@ class Network:
         # Inlined Cpu.submit + Simulator.schedule_at (bit-identical
         # arithmetic; keep in lockstep with both): this pair runs once
         # per queued delivery, the hottest compound call in a sweep.
-        # ``on_message`` is scheduled directly — it re-checks crash
-        # state at dispatch time itself.
+        # ``on_message`` re-checks crash state at dispatch time itself.
         cpu = actor.cpu
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         busy = cpu.busy_until
-        if busy > now:
-            effective = service * (1.0 + cpu.overload_gamma * (busy - now))
-            completion = busy + effective
-        else:
-            effective = service
+        queue = self.sim._queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        if busy <= now:
+            # Idle CPU: the completion goes straight onto the heap.
             completion = now + service
+            cpu.busy_until = completion
+            cpu.total_busy += service
+            cpu.tasks_run += 1
+            heappush(queue._heap, [completion, seq, actor.on_message, (sender, payload)])
+            return
+        effective = service * (1.0 + cpu.overload_gamma * (busy - now))
+        completion = busy + effective
         cpu.busy_until = completion
         cpu.total_busy += effective
         cpu.tasks_run += 1
-        queue = sim._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        heappush(queue._heap, [completion, seq, actor.on_message, (sender, payload)])
+        entry: list[Any] = [completion, seq, actor.on_message, (sender, payload)]
+        run_queue = cpu.run_queue
+        if not run_queue:
+            run_queue.append(entry)
+            cpu.push_head()
+        elif completion > run_queue[-1][0]:
+            run_queue.append(entry)
+        else:
+            # A service too small to advance the clock ties the tail's
+            # time; released at that instant it would miss its slot.
+            heappush(queue._heap, entry)

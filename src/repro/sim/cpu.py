@@ -7,6 +7,19 @@ arrivals queues up exactly like a single-threaded Java server of the
 paper's era.  This queueing is what produces the saturation knees of
 Figures 4 and 5.
 
+Run queue
+---------
+The FIFO is literal: :attr:`Cpu.run_queue` holds the heap entries of
+deliveries whose service starts behind a busy CPU (``repro.net.network``
+appends them).  Only the queue's head waits on the simulator's heap
+(:meth:`Cpu.push_head`), with :meth:`Cpu._release` in its callback slot;
+``_release`` fires the head's handler and pushes the successor.
+Every entry keeps the ``(time, seq)`` key it got on arrival, and the
+queue's times strictly increase, so each head is on the heap before its
+slot is reached and events fire exactly as if every completion had been
+pushed at once, while the heap stays as deep as what can fire next
+rather than as the backlog.
+
 Overload inflation
 ------------------
 Real runtimes degrade under overload (garbage collection, context
@@ -19,6 +32,10 @@ calibration profile sets a small positive value and documents why.
 """
 
 from __future__ import annotations
+
+from collections import deque
+from heapq import heappush
+from typing import Any
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
@@ -49,6 +66,12 @@ class Cpu:
         self.busy_until = 0.0
         self.total_busy = 0.0
         self.tasks_run = 0
+        #: Queued completions ``[time, seq, on_message, (sender,
+        #: payload)]``.  The head, ``run_queue[0]``, is on the heap as
+        #: ``[time, seq, release, (sender, payload), on_message]``.
+        self.run_queue: deque[list[Any]] = deque()
+        #: ``_release`` bound once: it is the callback of every head.
+        self.release = self._release
 
     @property
     def backlog(self) -> float:
@@ -72,3 +95,19 @@ class Cpu:
         self.total_busy += effective
         self.tasks_run += 1
         return completion
+
+    def push_head(self) -> None:
+        """Put ``run_queue[0]`` on the heap as the queue's head: its
+        handler moves to a fifth slot and ``release`` takes its place."""
+        head = self.run_queue[0]
+        head.append(head[2])
+        head[2] = self.release
+        heappush(self.sim._queue._heap, head)
+
+    def _release(self, sender: str, payload: Any) -> None:
+        """Fire the run queue's head and put its successor on the heap."""
+        queue = self.run_queue
+        handler = queue.popleft()[4]
+        if queue:
+            self.push_head()
+        handler(sender, payload)

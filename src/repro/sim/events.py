@@ -13,11 +13,15 @@ of their seed.
 
 Only a handle a caller can cancel needs to be an :class:`Event` (a
 ``list`` subclass with no per-instance storage of its own).  Internal
-layers that never hand out a handle, the network's deliveries and CPU
-completions, push plain ``[time, seq, callback, args]`` lists taken
-from the same counter.  Cancelling clears the callback slot: the entry
-stays in the heap and is discarded when it reaches the top (lazy
-deletion), so cancellation is O(1).
+layers that never hand out a handle push plain ``[time, seq, callback,
+args]`` lists taken from the same counter: the network's deliveries,
+CPU completions (behind a busy CPU, only the head of its run queue is
+on the heap; see ``repro.sim.cpu``) and open-loop arrivals (one on the
+heap at a time, each with a seq reserved at install).  An entry may
+reach the heap after later-numbered ones, but always before its own
+slot, so entries fire in ``(time, seq)`` order.  Cancelling clears the
+callback slot: the entry stays in the heap and is discarded when it
+reaches the top (lazy deletion), so cancellation is O(1).
 
 :meth:`EventQueue.pop_due_batch` drains every live entry sharing the
 earliest due timestamp in one heap traversal, so a consumer pays the

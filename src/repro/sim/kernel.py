@@ -68,7 +68,11 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
+        """Number of entries on the heap (including cancelled ones).
+
+        Completions waiting in a CPU's run queue behind its head and
+        open-loop arrivals not yet pushed are not counted.
+        """
         return len(self._queue)
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
@@ -83,15 +87,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time}: clock already at t={self.now}"
             )
-        # Inlined EventQueue.push: the harness installs every client
-        # arrival of a run through here, and the extra frame was
-        # measurable.  Keep in lockstep with push().
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        event = Event((time, seq, callback, args, queue))
-        heappush(queue._heap, event)
-        return event
+        return self._queue.push(time, callback, args)
 
     def stop(self) -> None:
         """Halt the run loop after the current event completes."""

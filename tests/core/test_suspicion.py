@@ -68,6 +68,25 @@ def test_watch_fires_when_ordering_stalls():
     assert missed == [("c1", 1)]
 
 
+def test_watch_reports_the_oldest_request_still_owed_an_order():
+    sim, actor = make_actor()
+    missed = []
+    watch = OrderProductionWatch(actor, deadline=0.2, on_miss=missed.append)
+    watch.start()
+    watch.note_request("a")
+    watch.note_request("b")
+
+    def later():
+        watch.note_ordered("a")
+        watch.note_request("c")
+        watch.note_request("a")  # noted again: now the newest
+        watch.note_request("b")  # already tracked: keeps its first time
+
+    sim.schedule(0.05, later)
+    sim.run(until=1.0)
+    assert missed == ["b"]
+
+
 def test_watch_quiet_when_orders_flow():
     sim, actor = make_actor()
     missed = []

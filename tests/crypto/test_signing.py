@@ -1,8 +1,11 @@
 """Unit tests for signature providers (simulated and real)."""
 
+import hashlib
+import hmac
+
 import pytest
 
-from repro.crypto.schemes import MD5_RSA_1024, SHA1_DSA_1024
+from repro.crypto.schemes import MD5_RSA_1024, PLAIN, SHA1_DSA_1024, CryptoScheme
 from repro.crypto.signing import (
     RealSignatureProvider,
     Signature,
@@ -95,3 +98,32 @@ def test_different_seed_different_tokens():
     a = SimulatedSignatureProvider(MD5_RSA_1024, NAMES, seed=9)
     b = SimulatedSignatureProvider(MD5_RSA_1024, NAMES, seed=10)
     assert a.sign("p1", b"m").value != b.sign("p1", b"m").value
+
+
+def _reference_token(seed: int, name: str, data: bytes, signature_bytes: int) -> bytes:
+    """A token as first specified: an ``hmac.new`` SHA-256 MAC under the
+    dealer secret, repeated out to the signature size but never cut
+    below the MAC."""
+    secret = hashlib.sha256(f"dealer/{seed}/{name}".encode()).digest()
+    mac = hmac.new(secret, data, hashlib.sha256).digest()
+    width = max(signature_bytes, len(mac))
+    return (mac * (width // len(mac) + 1))[:width]
+
+
+@pytest.mark.parametrize(
+    "scheme, width",
+    [
+        (MD5_RSA_1024, 128),  # widened: four MACs
+        (SHA1_DSA_1024, 40),  # widened, cut inside the second MAC
+        (CryptoScheme("md5-rsa256", "md5", "rsa", 256), 32),  # exactly one MAC
+        (PLAIN, 32),  # no signature on the wire, still a whole MAC
+    ],
+    ids=lambda v: v.name if isinstance(v, CryptoScheme) else str(v),
+)
+def test_simulated_tokens_match_the_hmac_reference_byte_for_byte(scheme, width):
+    provider = SimulatedSignatureProvider(scheme, NAMES, seed=5)
+    for name in NAMES:
+        for data in (b"", b"m", bytes(range(256)) * 7):
+            token = provider.sign(name, data).value
+            assert len(token) == width
+            assert token == _reference_token(5, name, data, scheme.signature_bytes)
