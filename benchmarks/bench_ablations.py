@@ -18,7 +18,6 @@ import pytest
 from repro import ProtocolConfig, build_cluster, OpenLoopWorkload
 from repro.calibration import CalibrationProfile
 from repro.failures.faults import WrongDigestFault
-from repro.harness.experiments import run_order_experiment
 from repro.harness.probes import ProbeContext, replay_records
 
 

@@ -13,8 +13,8 @@ Run:  python examples/compare_protocols.py        (~1 minute)
 """
 
 import repro.protocols as protocols
-from repro.harness.experiments import run_order_experiment
 from repro.harness.report import render_table
+from repro.harness.runner import SweepTask, run_task
 
 
 def main() -> None:
@@ -27,10 +27,10 @@ def main() -> None:
     for protocol in line_up:
         plugin = protocols.get(protocol)
         for interval in intervals:
-            result = run_order_experiment(
-                protocol, "md5-rsa1024", interval,
-                n_batches=30, warmup_batches=6,
-            )
+            result = run_task(SweepTask(
+                kind="order", protocol=protocol, scheme="md5-rsa1024",
+                batching_interval=interval, n_batches=30, warmup_batches=6,
+            )).result
             rows.append((
                 protocol,
                 str(plugin.n(result.f)),

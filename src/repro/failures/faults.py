@@ -114,3 +114,10 @@ class DelaySurgeFault(FaultPlan):
 
     until: float = field(default=0.0)
     factor: float = 10.0
+
+
+@dataclass
+class HoldAcksFault(FaultPlan):
+    """Timing fault for fail-over studies: not attached to a process but
+    to the network, which holds every ``Ack`` from ``active_from`` until
+    the next fail-over completes (see ``FaultInjector.hold_acks``)."""

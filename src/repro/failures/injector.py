@@ -5,24 +5,28 @@ Besides the direct object API (:meth:`FaultInjector.inject` /
 *declarative* form scenario specs use: a fault kind name, a target
 ("coordinator" resolves through the protocol plugin registry, plain
 names address processes, ``"pair:<rank>"`` addresses a pair link) and
-an activation time.
+an activation time.  ``hold_acks`` needs no target: it acts on the
+whole network (:meth:`FaultInjector.hold_acks`).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.core.messages import Ack, SignedMessage
 from repro.errors import ConfigError
 from repro.failures.faults import (
     CrashFault,
     DelaySurgeFault,
     EquivocationFault,
     FaultPlan,
+    HoldAcksFault,
     MutateEndorsementFault,
     WithholdOrdersFault,
     WrongDigestFault,
 )
 from repro.net.delay import SurgeableDelay
+from repro.net.message import Envelope
 from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:
@@ -36,6 +40,7 @@ FAULT_KINDS: dict[str, type[FaultPlan]] = {
     "equivocate": EquivocationFault,
     "mutate_endorsement": MutateEndorsementFault,
     "delay_surge": DelaySurgeFault,
+    "hold_acks": HoldAcksFault,
 }
 
 
@@ -83,6 +88,25 @@ class FaultInjector:
             factor=plan.factor,
         )
 
+    def hold_acks(self, cluster: "Cluster", plan: HoldAcksFault) -> None:
+        """From ``plan.active_from``, hold every ``Ack`` on the network;
+        release them all when the next fail-over completes.
+
+        Acked-but-uncommitted orders pile up meanwhile, so the
+        fail-over's BackLogs carry them (the Figure 6 x-axis).
+        Releasing at the fail-signal instead would let the ack burst
+        race the BackLog exchange, committing the very orders whose
+        recovery Figure 6 measures.  The network stays reliable: every
+        held ack is delivered, merely late — without a fail-over, never
+        within the run.  A kind-scoped subscription fires whether or
+        not any probe retains the record.
+        """
+        network = cluster.network
+        self.sim.schedule_at(plan.active_from, network.hold_matching, _carries_ack)
+        self.sim.trace.subscribe(
+            lambda record: network.release_held(), kinds=("failover_complete",)
+        )
+
     # ------------------------------------------------------------------
     # Declarative injection (scenario specs)
     # ------------------------------------------------------------------
@@ -98,9 +122,9 @@ class FaultInjector:
 
         ``target`` is a process name, ``"coordinator"`` (resolved to
         the cluster protocol's initial coordinator via the plugin
-        registry), or ``"pair:<rank>"`` for a pair-link delay surge.
-        Extra ``params`` are forwarded to the plan constructor (e.g.
-        ``until``/``factor`` for ``delay_surge``).
+        registry), or ``"pair:<rank>"`` for a pair-link delay surge;
+        ``hold_acks`` ignores it.  Extra ``params`` are forwarded to the
+        plan constructor (e.g. ``until``/``factor`` for ``delay_surge``).
         """
         try:
             plan_cls = FAULT_KINDS[kind]
@@ -115,6 +139,8 @@ class FaultInjector:
 
         if isinstance(plan, DelaySurgeFault):
             self.surge_link(self._resolve_link(cluster, target), plan)
+        elif isinstance(plan, HoldAcksFault):
+            self.hold_acks(cluster, plan)
         else:
             self.inject(self._resolve_process(cluster, target), plan)
         return plan
@@ -145,3 +171,9 @@ class FaultInjector:
                 f"no pair link with rank {rank}; protocol {cluster.protocol!r} "
                 f"deploys links {tuple(cluster.pair_links)}"
             ) from None
+
+
+def _carries_ack(envelope: Envelope) -> bool:
+    return isinstance(envelope.payload, SignedMessage) and isinstance(
+        envelope.payload.body, Ack
+    )

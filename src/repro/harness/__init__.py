@@ -7,17 +7,18 @@ figures.
 * :mod:`~repro.harness.scenario` — declarative ``ScenarioSpec``:
   protocol + workload + faults + network + duration/seed as one
   frozen value, runnable one-off, as runner grids, or via
-  ``python -m repro scenario``;
+  ``python -m repro scenario``; its ``wire_spec`` is the one
+  measured-run wiring every simulated point goes through;
 * :mod:`~repro.harness.workload` — open-loop clients;
 * :mod:`~repro.harness.probes` — registry-backed measurement probes
   streaming over the trace (``order-latency``, ``throughput``,
   ``failover``, and anything registered);
 * :mod:`~repro.harness.metrics` — the latency statistics and the
   linear fit the probes and figures share;
-* :mod:`~repro.harness.experiments` — the one measured-run wiring and
-  the paper's order and fail-over point experiments over it;
-* :mod:`~repro.harness.runner` — pure sweep tasks, executed in-process
-  or across a local worker-process pool (``--jobs N``);
+* :mod:`~repro.harness.runner` — pure sweep tasks (the paper's order
+  and fail-over points, each described as a ``ScenarioSpec``),
+  executed in-process or across a local worker-process pool
+  (``--jobs N``);
 * :mod:`~repro.harness.figures` — the figure table (grid, required
   metrics and renderer per figure);
 * :mod:`~repro.harness.cli` — the command line:

@@ -15,13 +15,14 @@ Costs come from two sources, best first:
   the same grid is therefore a perfect cost oracle
   (:func:`load_cost_hints` harvests a directory of artifacts);
 * **task shape** — absent hints, :func:`predicted_cost` estimates
-  relative cost from the fields that drive simulated work.  Measured
-  against real runs, an order point's event count is ~420 events per
-  batch slot plus ~150 background events per simulated second; in
-  slot units that is ``slots + 0.35 * simulated_seconds``, which
-  reproduces the measured cost ratios across the paper's interval
-  range to within a few percent and ranks the profiled 10 ms / 60
-  batch reference point as the most expensive quick-suite task.
+  relative cost from the task's spec (:meth:`SweepTask.spec`), one
+  formula for every kind.  Measured against real runs, an order
+  point's event count is ~420 events per batch slot plus ~150
+  background events per simulated second; in slot units that is
+  ``slots + 0.35 * simulated_seconds``, which reproduces the measured
+  cost ratios across the paper's interval range to within a few
+  percent and ranks the profiled 10 ms / 60 batch reference point as
+  the most expensive quick-suite task.
 
 Only the *dispatch* order is affected; both modes still return
 results in submission order, so scheduling can never change a result.
@@ -33,7 +34,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.errors import ConfigError
-from repro.harness.runner import FAILOVER, ORDER, SweepTask
+from repro.harness.runner import SweepTask
 
 
 def predicted_cost(task: SweepTask, hints: dict[str, float] | None = None) -> float:
@@ -53,20 +54,7 @@ def predicted_cost(task: SweepTask, hints: dict[str, float] | None = None) -> fl
             # hinted and estimated tasks sort on one axis (~420
             # events/slot, the measured order-point density).
             return float(hinted) / 420.0
-    if task.kind == ORDER:
-        interval = task.batching_interval
-        slots = task.warmup_batches + task.n_batches + 4
-        simulated = slots * interval + max(2.0, 60.0 * interval)  # + drain
-        return slots + 0.35 * simulated
-    if task.kind == FAILOVER:
-        interval = (
-            0.250 if task.batching_interval is None else task.batching_interval
-        )
-        # Warm-up + backlog build-up batches, then the ~8 s episode
-        # (fail-over exchange plus the post-release commit drain).
-        slots = 6.5 + task.backlog_batches
-        return slots + 0.35 * (slots * interval + 8.0)
-    spec = task.scenario  # SCENARIO (the only remaining kind)
+    spec = task.spec()
     slots = spec.duration / spec.batching_interval
     return slots + 0.35 * (spec.duration + spec.drain)
 

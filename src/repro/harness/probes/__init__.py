@@ -15,7 +15,7 @@ The paper's three measurements register on import:
 * ``failover`` — fail-over latency and BackLog bytes (Figure 6).
 
 A measured run's tracer keeps the union of its attached probes' kinds
-(:func:`repro.harness.experiments.wire_run`), so it retains nothing no
+(:func:`repro.harness.scenario.wire_spec`), so it retains nothing no
 probe wants.
 Select probes per sweep point (``SweepTask(probes=...)``), per
 scenario (``probes = [...]`` in a spec file), or from the CLI

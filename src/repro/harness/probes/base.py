@@ -9,7 +9,7 @@ it never asked for cost it nothing), and finalizes to a named map of
 scalar metrics.
 
 Every simulated point — order, fail-over, scenario — is wired by
-:func:`repro.harness.experiments.wire_run`, which applies one
+:func:`repro.harness.scenario.wire_spec`, which applies one
 retention rule: the tracer keeps exactly the union of the attached
 probes' declared kinds.  Nothing reads those records back to measure
 (probes stream); they stay available to a caller holding the cluster,
@@ -38,11 +38,11 @@ from repro.sim.trace import TraceRecord, Tracer
 class ProbeContext:
     """Run parameters a probe may finalize against.
 
-    The drivers fill in what their experiment defines: the order
-    experiment sets the throughput window to the arrival phase and the
-    warm-up/cap discipline of the paper's 100-batch averages; the
-    fail-over experiment needs none of that.  ``min_samples`` is the
-    driver's validity floor — a probe that cannot reach it raises
+    Every run sets the throughput window to its arrival phase
+    (:func:`repro.harness.scenario.probe_context`); an order point adds
+    the warm-up/cap discipline of the paper's 100-batch averages, which
+    fail-over points and scenarios do without.  ``min_samples`` is the
+    run's validity floor — a probe that cannot reach it raises
     :class:`~repro.errors.MetricsError` naming ``label``.
     """
 

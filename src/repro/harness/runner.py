@@ -37,21 +37,42 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, cast
 
 import repro.harness.probes as probe_registry
-from repro.calibration import CALIBRATION_PROFILES, resolve_calibration
+import repro.protocols as protocols
+from repro.calibration import CALIBRATION_PROFILES
+# Re-exported: the perf ledger's set-up script imports it from here.
+from repro.calibration import resolve_calibration as resolve_calibration
 from repro.errors import ConfigError, SweepError
-from repro.harness import experiments
-from repro.harness.scenario import ScenarioSpec, run_scenario, spec_to_dict
+from repro.harness.probes import ProbeReport
+from repro.harness.scenario import (
+    FaultSpec,
+    NetSpec,
+    ScenarioSpec,
+    probe_context,
+    run_scenario,
+    spec_to_dict,
+    wire_spec,
+)
 from repro.harness.telemetry import Stopwatch
 
 #: Task kinds understood by :func:`run_task`.
 ORDER = "order"
 FAILOVER = "failover"
 SCENARIO = "scenario"
+
+#: Probes an order point wires when none are selected: the paper's
+#: Figure 4/5 measurements.
+DEFAULT_ORDER_PROBES = ("order-latency", "throughput")
+#: Probes a fail-over point wires by default (Figure 6).
+DEFAULT_FAILOVER_PROBES = ("failover",)
+#: Fewest measured batches for a valid order point.
+MIN_ORDER_SAMPLES = 5
+#: A fail-over point's batching interval when the task sets none.
+FAILOVER_INTERVAL = 0.250
 
 
 @dataclass(frozen=True)
@@ -64,7 +85,9 @@ class SweepTask:
     measures fail-over latency with ``backlog_batches`` of held orders;
     :data:`SCENARIO` runs a declarative
     :class:`~repro.harness.scenario.ScenarioSpec` (carried in
-    ``scenario``, itself frozen and picklable).
+    ``scenario``, itself frozen and picklable).  Every kind runs as a
+    spec (:meth:`spec`) wired by
+    :func:`~repro.harness.scenario.wire_spec`.
     """
 
     kind: str
@@ -116,6 +139,45 @@ class SweepTask:
             return float(self.seed)
         return float(self.backlog_batches)
 
+    def spec(self) -> ScenarioSpec:
+        """The run this task describes, as a scenario spec.
+
+        An order point saturates batches over ``warmup + n + 4``
+        intervals (the paper's throughput rises as the interval shrinks
+        because each interval's 1 KB batch is always full), then drains
+        so that late commits of saturated runs still land.  A fail-over
+        point holds acks from ``hold_at`` so that ``backlog_batches``
+        ~1 KB batches pile up acked-but-uncommitted, then corrupts the
+        coordinator's digests: its BackLogs carry ``backlog_batches`` KB
+        of uncommitted orders, the paper's 1..5 KB x-axis.
+        """
+        if self.kind == SCENARIO:
+            return cast(ScenarioSpec, self.scenario)
+        interval = self.batching_interval
+        if interval is None:  # only fail-over points may leave it unset
+            interval = FAILOVER_INTERVAL
+        if self.kind == ORDER:
+            name = f"{self.protocol}/{self.scheme}@{interval}"
+            duration = (self.warmup_batches + self.n_batches + 4) * interval
+            drain = max(2.0, 60 * interval)
+            faults: tuple[FaultSpec, ...] = ()
+        else:
+            if not protocols.get(self.protocol).supports_failover:
+                raise ConfigError(f"{self.protocol!r} has no fail-over to measure")
+            hold_at = 6 * interval + interval * 0.5  # after six warm-up batches
+            fault_at = hold_at + (self.backlog_batches + 0.5) * interval
+            name = f"{self.protocol}/{self.scheme} backlog={self.backlog_batches}"
+            duration, drain = fault_at + 4.0, 4.0
+            faults = (
+                FaultSpec(kind="hold_acks", at=hold_at),
+                FaultSpec(kind="wrong_digest", target="coordinator", at=fault_at),
+            )
+        return ScenarioSpec(
+            name=name, protocol=self.protocol, f=self.f, scheme=self.scheme,
+            batching_interval=interval, duration=duration, drain=drain,
+            seed=self.seed, faults=faults, net=NetSpec(calibration=self.calibration),
+        )
+
     @cached_property
     def point_id(self) -> str:
         """Stable identifier used to match points across artifacts.
@@ -146,7 +208,10 @@ class SweepTask:
             axis = f"i{self.batching_interval:g}"
             shape = f"n{self.n_batches}w{self.warmup_batches}"
         else:
-            interval = 0.250 if self.batching_interval is None else self.batching_interval
+            interval = (
+                FAILOVER_INTERVAL if self.batching_interval is None
+                else self.batching_interval
+            )
             axis = f"b{self.backlog_batches}i{interval:g}"
             shape = None
         parts = [
@@ -200,36 +265,37 @@ class PointResult:
         return dict(self.result.metrics())
 
 
+def run_figure_point(task: SweepTask) -> ProbeReport:
+    """Measure an order or fail-over point: its spec wired with the
+    figures' strict probe context.  An order point discards
+    ``warmup_batches``, averages at most ``n_batches`` (the paper
+    averages 100) and counts throughput over the arrival window only;
+    an incomplete fail-over episode is a failure (scenarios run the
+    same probes leniently)."""
+    spec = task.spec()
+    order = task.kind == ORDER
+    context = replace(
+        probe_context(spec, spec.name),
+        window_start=task.warmup_batches * spec.batching_interval if order else 0.0,
+        warmup_batches=task.warmup_batches if order else 0,
+        cap=task.n_batches if order else None,
+        min_samples=MIN_ORDER_SAMPLES if order else 1,
+    )
+    default = DEFAULT_ORDER_PROBES if order else DEFAULT_FAILOVER_PROBES
+    selected = default if task.probes is None else task.probes
+    cluster, probes, _ = wire_spec(spec, context, selected)
+    cluster.start()
+    cluster.run(until=spec.duration + spec.drain)
+    return ProbeReport.of(
+        probes, context, cluster.plugin.reported_scheme(spec.scheme),
+        cluster.sim.events_processed,
+    )
+
+
 def run_task(task: SweepTask) -> PointResult:
     """Execute one sweep point; pure in everything but wall time."""
     watch = Stopwatch()
-    if task.kind == SCENARIO:
-        result = run_scenario(task.scenario)
-    elif task.kind == ORDER:
-        result = experiments.run_order_experiment(
-            task.protocol,
-            task.scheme,
-            task.batching_interval,
-            f=task.f,
-            seed=task.seed,
-            n_batches=task.n_batches,
-            warmup_batches=task.warmup_batches,
-            calibration=resolve_calibration(task.calibration),
-            probes=task.probes,
-        )
-    else:
-        result = experiments.run_failover_experiment(
-            task.protocol,
-            task.scheme,
-            task.backlog_batches,
-            f=task.f,
-            seed=task.seed,
-            batching_interval=(
-                0.250 if task.batching_interval is None else task.batching_interval
-            ),
-            calibration=resolve_calibration(task.calibration),
-            probes=task.probes,
-        )
+    result = run_scenario(task.spec()) if task.kind == SCENARIO else run_figure_point(task)
     return PointResult(task=task, result=result, wall_time=watch.elapsed)
 
 
@@ -414,7 +480,7 @@ def failover_grid(
     backlogs: Sequence[int],
     f: int = 2,
     seed: int = 1,
-    batching_interval: float = 0.250,
+    batching_interval: float = FAILOVER_INTERVAL,
     calibration: str = "paper",
     probes: tuple[str, ...] | None = None,
 ) -> list[SweepTask]:

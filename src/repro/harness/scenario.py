@@ -14,6 +14,11 @@ seed grid over the multiprocessing runner
     python -m repro scenario my_scenario.toml --seeds 1,2,3 --jobs 4
     python -m repro scenario delay-surge-recovery --dump > spec.json
 
+The paper's figure points are specs too
+(:meth:`repro.harness.runner.SweepTask.spec`): every simulated point
+is wired by :func:`wire_spec`, and only its probe context and result
+type depend on what described it.
+
 Spec files are JSON or TOML mirroring the dataclasses, e.g.::
 
     name = "surge-then-recover"
@@ -50,8 +55,7 @@ import repro.harness.probes as probe_registry
 import repro.protocols as protocols
 from repro.calibration import resolve_calibration
 from repro.errors import ConfigError
-from repro.harness.cluster import Cluster
-from repro.harness.experiments import WiredRun, wire_run
+from repro.harness.cluster import Cluster, build_cluster
 from repro.harness.population import (
     ClassSpec,
     EnvelopeSpec,
@@ -59,14 +63,14 @@ from repro.harness.population import (
     population_from_dict,
     population_to_dict,
 )
-from repro.harness.probes import ProbeContext
+from repro.harness.probes import Probe, ProbeContext
 from repro.harness.report import render_table
 from repro.harness.workload import (
     AggregatedWorkload,
     OpenLoopWorkload,
     saturating_rate,
 )
-from repro.sim.trace import TraceRecord
+from repro.sim.trace import Tracer, TraceRecord
 
 # ----------------------------------------------------------------------
 # Spec dataclasses (frozen, picklable, hashable)
@@ -120,7 +124,9 @@ class FaultSpec:
     :data:`repro.failures.injector.FAULT_KINDS`; ``target`` is a
     process name, ``"coordinator"`` (resolved through the protocol
     plugin), or ``"pair:<rank>"`` for delay surges; ``until`` and
-    ``factor`` apply to ``delay_surge`` only.
+    ``factor`` apply to ``delay_surge`` only.  ``hold_acks`` ignores
+    ``target``: from ``at`` the network holds every ``Ack`` until the
+    next fail-over completes — without one, until the run ends.
     """
 
     kind: str
@@ -183,6 +189,8 @@ class ScenarioSpec:
             raise ConfigError("scenario duration must be positive")
         if self.drain < 0:
             raise ConfigError("scenario drain must be >= 0")
+        if self.n_clients < 1:
+            raise ConfigError("scenario n_clients must be >= 1")
         # Normalise the override order so semantically identical specs
         # compare (and round-trip) equal however they were written.
         object.__setattr__(self, "config", tuple(sorted(self.config)))
@@ -394,37 +402,35 @@ class ScenarioResult:
         return out
 
 
-def _wire_scenario(spec: ScenarioSpec) -> tuple[WiredRun, list]:
-    """The scenario as a describer of the one measured run: a lenient
-    context (a scenario without, say, a fail-over episode reports zeros
-    rather than failing the run), the built-in probes plus the spec's
-    own, then the spec's workloads installed and its faults armed."""
+def wire_spec(
+    spec: ScenarioSpec, context: ProbeContext, probes: tuple[str, ...]
+) -> tuple[Cluster, tuple[Probe, ...], list]:
+    """The one measured run: ``spec``'s cluster built, the named probes
+    created against ``context`` and attached, the spec's workloads
+    installed and its faults armed — ready for ``cluster.start()``.
+
+    The one retention rule: the tracer keeps the union of the attached
+    probes' declared kinds and nothing else, so a run's memory is
+    bounded by what it measures.  The tracer is replaced before
+    anything is armed (actors emit via ``sim.trace``), so the filter
+    and the subscriptions cover everything the run produces.  Returns
+    the cluster, the probes and the installed workloads.
+    """
     config = protocols.get(spec.protocol).configure(
         scheme=spec.scheme,
         f=spec.f,
         batching_interval=spec.batching_interval,
         **spec.config_overrides(),
     )
-    context = ProbeContext(
-        protocol=spec.protocol,
-        scheme=spec.scheme,
-        f=spec.f,
-        seed=spec.seed,
-        batching_interval=spec.batching_interval,
-        window_start=0.0,
-        window_end=spec.duration,
-        label=f"scenario {spec.name!r}",
-    )
-    wired = wire_run(
-        config,
-        context,
-        # One instance per name: a spec that re-selects a built-in
-        # probe reads the same measurement under its namespaced keys.
-        tuple(dict.fromkeys(BUILTIN_PROBES + spec.probes)),
+    cluster = build_cluster(
+        spec.protocol, config=config,
         calibration=resolve_calibration(spec.net.calibration),
-        n_clients=spec.n_clients,
+        seed=spec.seed, n_clients=spec.n_clients,
     )
-    cluster = wired.cluster
+    active = probe_registry.create_all(probes, context)
+    cluster.sim.trace = Tracer(keep_kinds=probe_registry.kinds_union(probes))
+    for probe in active:
+        probe.attach(cluster.sim.trace)
 
     w = spec.workload
     duration = w.duration if w.duration is not None else spec.duration
@@ -464,7 +470,27 @@ def _wire_scenario(spec: ScenarioSpec) -> tuple[WiredRun, list]:
         cluster.injector.inject_named(
             cluster, fault.kind, fault.target, at=fault.at, **fault.params()
         )
-    return wired, workloads
+    return cluster, active, workloads
+
+
+def probe_context(spec: ScenarioSpec, label: str) -> ProbeContext:
+    """The lenient probe context of ``spec``'s run: rates over the
+    arrival phase ``[0, duration)``, no warm-up discard, no sample
+    floor (a run without, say, a fail-over episode reports zeros)."""
+    return ProbeContext(
+        protocol=spec.protocol, scheme=spec.scheme, f=spec.f, seed=spec.seed,
+        batching_interval=spec.batching_interval, window_end=spec.duration,
+        label=label,
+    )
+
+
+def _wire_scenario(spec: ScenarioSpec) -> tuple[Cluster, tuple[Probe, ...], list]:
+    """A scenario's wiring: the lenient context and the built-in probes
+    plus the spec's own."""
+    context = probe_context(spec, f"scenario {spec.name!r}")
+    # One instance per name: a spec that re-selects a built-in probe
+    # reads the same measurement under its namespaced keys.
+    return wire_spec(spec, context, tuple(dict.fromkeys(BUILTIN_PROBES + spec.probes)))
 
 
 def build_scenario(spec: ScenarioSpec) -> tuple[Cluster, list]:
@@ -475,8 +501,8 @@ def build_scenario(spec: ScenarioSpec) -> tuple[Cluster, list]:
     :class:`~repro.harness.workload.AggregatedWorkload` (no per-client
     actors are built beyond the spec's ``n_clients``, which population
     runs keep at the 2-client floor purely for cluster wiring)."""
-    wired, workloads = _wire_scenario(spec)
-    return wired.cluster, workloads
+    cluster, _, workloads = _wire_scenario(spec)
+    return cluster, workloads
 
 
 #: Milestones a scenario counts (no probe provides them).
@@ -486,7 +512,7 @@ _COUNTED_KINDS = ("order_committed", "failover_complete", "view_installed",
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Run a spec end-to-end and extract its metrics."""
-    wired, workloads = _wire_scenario(spec)
+    cluster, probes, workloads = _wire_scenario(spec)
     seen = dict.fromkeys(_COUNTED_KINDS, 0)
     committed: dict[str, int] = {}  # requests, per committing process
 
@@ -496,11 +522,11 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
             actor = record.fields.get("actor", "?")
             committed[actor] = committed.get(actor, 0) + record.fields["n_requests"]
 
-    cluster = wired.cluster
     cluster.sim.trace.subscribe(count, kinds=_COUNTED_KINDS)
-    wired.run(until=spec.duration + spec.drain)
+    cluster.start()
+    cluster.run(until=spec.duration + spec.drain)
 
-    measured = {probe.name: probe.finalize() for probe in wired.probes}
+    measured = {probe.name: probe.finalize() for probe in probes}
     latency = measured["order-latency"]
     return ScenarioResult(
         name=spec.name,

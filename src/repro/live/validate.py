@@ -29,8 +29,8 @@ import sys
 from pathlib import Path
 
 from repro.harness import artifact as artifact_mod
-from repro.harness.experiments import run_order_experiment
 from repro.harness.probes import ProbeContext, merge_node_records, replay_records
+from repro.harness.runner import ORDER, SweepTask, run_task
 
 #: Probes every live artifact point is measured by.  The recovery
 #: timeline is always included: a clean run reports zeros, a chaos or
@@ -161,14 +161,15 @@ def _sim_counterpart(point: dict, baseline) -> dict | None:
 
 def _simulate_counterpart(point: dict) -> dict:
     """No baseline given: run the simulated point on the fly."""
-    report = run_order_experiment(
-        point["protocol"],
-        point["scheme"],
+    report = run_task(SweepTask(
+        kind=ORDER,
+        protocol=point["protocol"],
+        scheme=point["scheme"],
         batching_interval=float(point["x"]),
         f=int(point["f"]),
         n_batches=ONTHEFLY_BATCHES,
         warmup_batches=ONTHEFLY_WARMUP,
-    )
+    )).result
     return {
         "id": f"sim-onthefly/{point['protocol']}/f{point['f']}/i{point['x']:g}",
         "kind": "order",

@@ -181,11 +181,13 @@ class Network:
         """Defer delivery of envelopes matching ``predicate``.
 
         The network stays *reliable*: held messages are delivered when
-        :meth:`release_held` runs.  Experiments use this to age traffic
-        (e.g. delaying acks so acked-but-uncommitted orders accumulate
-        into BackLogs of a target size for the Figure 6 measurements);
-        it models a transient delay spike on the asynchronous network,
-        which the system model explicitly permits.
+        :meth:`release_held` runs.  The ``hold_acks`` fault
+        (:meth:`repro.failures.injector.FaultInjector.hold_acks`) uses
+        this to age traffic, delaying acks so that acked-but-uncommitted
+        orders accumulate into BackLogs of a target size for the
+        Figure 6 measurements; it models a transient delay spike on the
+        asynchronous network, which the system model explicitly
+        permits.
         """
         self._hold_predicate = predicate
 

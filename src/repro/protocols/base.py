@@ -8,7 +8,7 @@ which crypto scheme a sweep point actually exercises, and where the
 initial coordinator/primary sits (the target of fail-over studies).
 
 Plugins register in :data:`repro.protocols.PROTOCOLS`;
-``repro.harness.cluster``, ``repro.harness.experiments``,
+``repro.harness.cluster``, ``repro.harness.runner``,
 ``repro.harness.scenario`` and ``repro.failures.injector`` dispatch
 exclusively through that registry, so adding a protocol is one new
 module — no harness edits.

@@ -12,11 +12,8 @@ tests swap the tracer the measured-run wiring installs for a full one
 
 import pytest
 
-import repro.harness.experiments as experiments
-from repro.harness.experiments import (
-    run_failover_experiment,
-    run_order_experiment,
-)
+import repro.harness.scenario as scenario
+from repro.harness.runner import FAILOVER, ORDER, SweepTask, run_task
 from repro.harness.scenario import BUILTIN_SCENARIOS, run_scenario
 from repro.sim.trace import Tracer
 from tests.harness.oracle import (
@@ -32,6 +29,16 @@ from tests.harness.oracle import (
 ORDER_ARGS = dict(n_batches=10, warmup_batches=3)
 
 
+def run_order(protocol, scheme, interval, **fields):
+    return run_task(SweepTask(kind=ORDER, protocol=protocol, scheme=scheme,
+                              batching_interval=interval, **fields)).result
+
+
+def run_failover(protocol, scheme, backlog):
+    return run_task(SweepTask(kind=FAILOVER, protocol=protocol, scheme=scheme,
+                              backlog_batches=backlog)).result
+
+
 @pytest.fixture
 def full_trace(monkeypatch):
     """Make the drivers run with a keep-everything tracer and hand the
@@ -43,12 +50,12 @@ def full_trace(monkeypatch):
         captured["kinds"] = keep_kinds
         return captured["trace"]
 
-    monkeypatch.setattr(experiments, "Tracer", keep_everything)
+    monkeypatch.setattr(scenario, "Tracer", keep_everything)
     return captured
 
 
 def test_order_probes_match_post_hoc_extraction(full_trace):
-    report = run_order_experiment("sc", "md5-rsa1024", 0.1, **ORDER_ARGS)
+    report = run_order("sc", "md5-rsa1024", 0.1, **ORDER_ARGS)
     trace = full_trace["trace"]
 
     samples = collect_latencies(trace)
@@ -66,7 +73,7 @@ def test_order_probes_match_post_hoc_extraction(full_trace):
 
 
 def test_failover_probe_matches_post_hoc_extraction(full_trace):
-    report = run_failover_experiment("sc", "md5-rsa1024", 2)
+    report = run_failover("sc", "md5-rsa1024", 2)
     trace = full_trace["trace"]
 
     episode_end = trace.of_kind("failover_complete")[0].time
@@ -80,7 +87,7 @@ def test_order_probes_match_post_hoc_across_protocols_and_backlogs(full_trace):
     """The oracle holds across the sweep's other axes, not just one
     convenient point."""
     for protocol in ("ct", "bft"):
-        report = run_order_experiment(protocol, "md5-rsa1024", 0.1, **ORDER_ARGS)
+        report = run_order(protocol, "md5-rsa1024", 0.1, **ORDER_ARGS)
         trace = full_trace["trace"]
         samples = collect_latencies(trace)
         skip = min(ORDER_ARGS["warmup_batches"], max(0, len(samples) - 5))
@@ -89,7 +96,7 @@ def test_order_probes_match_post_hoc_across_protocols_and_backlogs(full_trace):
         assert report.value("latency_mean") == stats.mean
         assert report.value("batches_measured") == float(stats.count)
     for backlog in (1, 3):
-        report = run_failover_experiment("scr", "md5-rsa1024", backlog)
+        report = run_failover("scr", "md5-rsa1024", backlog)
         trace = full_trace["trace"]
         assert report.value("failover_latency") == failover_latency(trace)
 
@@ -99,11 +106,11 @@ def test_slim_and_full_runs_report_identical_metrics(full_trace):
     baseline guarantee): the same point measured against the full
     tracer and against the derived keep-filter reports equal values,
     and the full trace really carries kinds the filter would drop."""
-    full_report = run_order_experiment("sc", "md5-rsa1024", 0.1, **ORDER_ARGS)
+    full_report = run_order("sc", "md5-rsa1024", 0.1, **ORDER_ARGS)
     assert not full_trace["trace"].kinds() <= full_trace["kinds"]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "Tracer", Tracer)
-        slim_report = run_order_experiment(
+        mp.setattr(scenario, "Tracer", Tracer)
+        slim_report = run_order(
             "sc", "md5-rsa1024", 0.1, **ORDER_ARGS
         )
     assert slim_report == full_report
@@ -119,16 +126,16 @@ def test_derived_keep_filter_bounds_retention(monkeypatch):
         captured["kinds"] = keep_kinds
         return captured["trace"]
 
-    monkeypatch.setattr(experiments, "Tracer", spy)
-    run_order_experiment("sc", "md5-rsa1024", 0.1, **ORDER_ARGS)
+    monkeypatch.setattr(scenario, "Tracer", spy)
+    run_order("sc", "md5-rsa1024", 0.1, **ORDER_ARGS)
     slim = captured["trace"]
     assert len(slim) > 0
     assert captured["kinds"] == {"batch_formed", "order_committed"}
     assert slim.kinds() <= captured["kinds"]
 
     full = Tracer()
-    monkeypatch.setattr(experiments, "Tracer", lambda keep_kinds: full)
-    run_order_experiment("sc", "md5-rsa1024", 0.1, **ORDER_ARGS)
+    monkeypatch.setattr(scenario, "Tracer", lambda keep_kinds: full)
+    run_order("sc", "md5-rsa1024", 0.1, **ORDER_ARGS)
     # The full trace carries records the derived filter stops
     # retaining on the sweep hot path.
     assert len(full) > len(slim)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import MetricsError
-from repro.harness.experiments import run_order_experiment
 from repro.harness.probes import (
     ProbeContext,
     merge_node_records,
     replay_records,
 )
 from repro.harness.probes.feed import as_records
+from repro.harness.runner import SweepTask, run_task
 from repro.sim.trace import TraceRecord
 
 
@@ -38,10 +38,10 @@ def test_merge_orders_across_nodes():
 
 
 def test_replay_matches_live_attached_probes():
-    report = run_order_experiment(
-        "sc", "md5-rsa1024", batching_interval=0.1, f=1,
-        n_batches=8, warmup_batches=2,
-    )
+    report = run_task(SweepTask(
+        kind="order", protocol="sc", scheme="md5-rsa1024", batching_interval=0.1,
+        f=1, n_batches=8, warmup_batches=2,
+    )).result
     # Re-run with a record-keeping tracer by reaching through the same
     # driver: simplest faithful source is the probe series — instead,
     # rebuild records from a fresh deterministic run.

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.harness.artifact import from_results
-from repro.harness.experiments import run_order_experiment
 from repro.harness.runner import SweepTask, order_grid, run_task
 from repro.harness.scenario import (
     BUILTIN_SCENARIOS,
@@ -21,10 +20,10 @@ QUICK = dict(batching_interval=0.1, n_batches=8, warmup_batches=2)
 
 
 def test_driver_runs_probe_subset():
-    report = run_order_experiment(
-        "sc", "md5-rsa1024", 0.1, n_batches=8, warmup_batches=2,
-        probes=("throughput",),
-    )
+    report = run_task(SweepTask(
+        kind="order", protocol="sc", scheme="md5-rsa1024",
+        probes=("throughput",), **QUICK,
+    )).result
     assert report.probes == ("throughput",)
     assert set(report.metrics()) == {"throughput"}
     assert report.throughput > 0
@@ -32,7 +31,8 @@ def test_driver_runs_probe_subset():
 
 def test_driver_rejects_unknown_probe():
     with pytest.raises(ConfigError, match="unknown probe"):
-        run_order_experiment("sc", "md5-rsa1024", 0.1, probes=("geiger",))
+        run_task(SweepTask(kind="order", protocol="sc", scheme="md5-rsa1024",
+                           batching_interval=0.1, probes=("geiger",)))
 
 
 def test_task_probes_flow_into_point_id_and_run():

@@ -1,4 +1,4 @@
-"""CLI tests (fast: the experiment runners are monkeypatched)."""
+"""CLI tests (fast: the figure-point runner is monkeypatched)."""
 
 import json
 import socket
@@ -6,15 +6,16 @@ from pathlib import Path
 
 import pytest
 
-import repro.harness.experiments as experiments
+import repro.harness.runner as runner
 from repro.__main__ import main as repro_main
 from repro.harness.artifact import SCHEMA_VERSION, load_artifact
 from repro.harness.cli import main
-from repro.harness.experiments import (
+from repro.harness.probes import ProbeReport
+from repro.harness.runner import (
     DEFAULT_FAILOVER_PROBES,
     DEFAULT_ORDER_PROBES,
+    ORDER,
 )
-from repro.harness.probes import ProbeReport
 from repro.net import framing
 
 #: ``--help`` of ``python -m repro`` and of every subcommand, captured
@@ -24,34 +25,36 @@ HELP_SNAPSHOT = Path(__file__).parent / "data" / "cli_help.txt"
 
 @pytest.fixture
 def fast_runners(monkeypatch):
-    def fake_order(protocol, scheme, interval, f=2, seed=1, n_batches=100,
-                   warmup_batches=15, calibration=None, probes=None):
-        base = {"ct": 0.010, "sc": 0.040, "bft": 0.050}[protocol]
+    def fake_order(task):
+        base = {"ct": 0.010, "sc": 0.040, "bft": 0.050}[task.protocol]
+        interval = task.batching_interval
         return ProbeReport(
-            protocol=protocol, scheme=scheme, f=f,
-            probes=DEFAULT_ORDER_PROBES if probes is None else tuple(probes),
+            protocol=task.protocol, scheme=task.scheme, f=task.f,
+            probes=DEFAULT_ORDER_PROBES if task.probes is None else task.probes,
             values=(
                 ("latency_mean", base / interval * 0.05),
                 ("latency_p50", base),
                 ("latency_p95", base),
                 ("throughput", 16 / interval),
-                ("batches_measured", float(n_batches)),
+                ("batches_measured", float(task.n_batches)),
             ),
         )
 
-    def fake_failover(protocol, scheme, backlog_batches, f=2, seed=1,
-                      batching_interval=0.25, calibration=None, probes=None):
+    def fake_failover(task):
+        backlog_batches = task.backlog_batches
         return ProbeReport(
-            protocol=protocol, scheme=scheme, f=f,
-            probes=DEFAULT_FAILOVER_PROBES if probes is None else tuple(probes),
+            protocol=task.protocol, scheme=task.scheme, f=task.f,
+            probes=DEFAULT_FAILOVER_PROBES if task.probes is None else task.probes,
             values=(
                 ("failover_latency", 0.1 + 0.03 * backlog_batches),
                 ("observed_backlog_bytes", 1024.0 * (2 + backlog_batches)),
             ),
         )
 
-    monkeypatch.setattr(experiments, "run_order_experiment", fake_order)
-    monkeypatch.setattr(experiments, "run_failover_experiment", fake_failover)
+    def fake_point(task):
+        return (fake_order if task.kind == ORDER else fake_failover)(task)
+
+    monkeypatch.setattr(runner, "run_figure_point", fake_point)
 
 
 def test_cli_fig4_quick(fast_runners, capsys):
@@ -191,10 +194,10 @@ def test_cli_resume_skips_finished_points(fast_runners, tmp_path, capsys):
     assert journal.exists()
     first = load_artifact(tmp_path / "BENCH_fig4.json")
 
-    def exploding_order(*args, **kwargs):  # resume must not call this
+    def exploding_point(*args, **kwargs):  # resume must not call this
         raise AssertionError("a journaled point was re-executed")
 
-    experiments.run_order_experiment = exploding_order
+    runner.run_figure_point = exploding_point
     assert main(["fig4", "--quick", "--resume", str(journal),
                  "--json-dir", str(tmp_path)]) == 0
     again = load_artifact(tmp_path / "BENCH_fig4.json")

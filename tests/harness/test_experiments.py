@@ -1,4 +1,4 @@
-"""Integration tests for the experiment runners (small configurations).
+"""Integration tests for the figure points (small configurations).
 
 These check the *shape* of each paper artefact on reduced sweeps; the
 full-size regenerations live in benchmarks/.
@@ -6,18 +6,25 @@ full-size regenerations live in benchmarks/.
 
 import pytest
 
-from repro.harness.experiments import (
-    run_failover_experiment,
-    run_order_experiment,
-)
 from repro.harness.metrics import linear_fit
+from repro.harness.runner import FAILOVER, ORDER, SweepTask, run_task
+
+
+def run_order(protocol, scheme, interval, **fields):
+    return run_task(SweepTask(kind=ORDER, protocol=protocol, scheme=scheme,
+                              batching_interval=interval, **fields)).result
+
+
+def run_failover(protocol, scheme, backlog, **fields):
+    return run_task(SweepTask(kind=FAILOVER, protocol=protocol, scheme=scheme,
+                              backlog_batches=backlog, **fields)).result
 
 
 @pytest.fixture(scope="module")
 def quick_points():
     """One moderate batching-interval point per protocol (rsa-1024)."""
     return {
-        protocol: run_order_experiment(
+        protocol: run_order(
             protocol, "md5-rsa1024", 0.100, n_batches=25, warmup_batches=5
         )
         for protocol in ("ct", "sc", "bft")
@@ -53,8 +60,8 @@ def test_dsa_widens_the_sc_bft_gap():
     interval = 0.150
     gap = {}
     for scheme in ("md5-rsa1024", "sha1-dsa1024"):
-        sc = run_order_experiment("sc", scheme, interval, n_batches=20, warmup_batches=5)
-        bft = run_order_experiment("bft", scheme, interval, n_batches=20, warmup_batches=5)
+        sc = run_order("sc", scheme, interval, n_batches=20, warmup_batches=5)
+        bft = run_order("bft", scheme, interval, n_batches=20, warmup_batches=5)
         gap[scheme] = bft.latency_mean - sc.latency_mean
     assert gap["sha1-dsa1024"] > gap["md5-rsa1024"]
 
@@ -65,10 +72,10 @@ def test_smaller_interval_saturates_bft_first():
     steady, tight = 0.250, 0.040
     ratios = {}
     for protocol in ("sc", "bft"):
-        a = run_order_experiment(
+        a = run_order(
             protocol, "md5-rsa1024", steady, n_batches=20, warmup_batches=5
         )
-        b = run_order_experiment(
+        b = run_order(
             protocol, "md5-rsa1024", tight, n_batches=20, warmup_batches=5
         )
         ratios[protocol] = b.latency_mean / a.latency_mean
@@ -78,7 +85,7 @@ def test_smaller_interval_saturates_bft_first():
 def test_failover_latency_grows_with_backlog():
     """Figure 6's linearity, on a 3-point sweep."""
     points = [
-        run_failover_experiment("sc", "md5-rsa1024", k) for k in (1, 3, 5)
+        run_failover("sc", "md5-rsa1024", k) for k in (1, 3, 5)
     ]
     sizes = [p.observed_backlog_bytes for p in points]
     latencies = [p.failover_latency for p in points]
@@ -90,7 +97,7 @@ def test_failover_latency_grows_with_backlog():
 
 
 def test_failover_experiment_scr_runs():
-    result = run_failover_experiment("scr", "md5-rsa1024", 2)
+    result = run_failover("scr", "md5-rsa1024", 2)
     assert result.protocol == "scr"
     assert result.failover_latency > 0
     assert result.observed_backlog_bytes > 0

@@ -1,5 +1,5 @@
-"""The harness point modules form a DAG: experiments <- scenario <-
-runner <- figures <- cli.  No deferred import may hide a cycle."""
+"""The harness point modules form a DAG: scenario <- runner <-
+figures <- cli.  No deferred import may hide a cycle."""
 
 import ast
 import os
@@ -13,8 +13,7 @@ import repro
 
 SRC = Path(repro.__file__).resolve().parent
 POINT_MODULES = (
-    "experiments", "figures", "cli", "runner", "scenario", "workload",
-    "population",
+    "figures", "cli", "runner", "scenario", "workload", "population",
 )
 
 
@@ -32,7 +31,7 @@ def test_no_function_level_import_of_a_point_module():
     """A ``from repro.harness.runner import ...`` inside a function is
     how the old runner <-> experiments <-> scenario cycle was papered
     over; the point modules are only ever imported at module level."""
-    guarded = {f"repro.harness.{name}" for name in POINT_MODULES[:5]}
+    guarded = {f"repro.harness.{name}" for name in POINT_MODULES[:4]}
     offenders = []
     for path in [*(SRC / "harness").rglob("*.py"), SRC / "live" / "validate.py"]:
         tree = ast.parse(path.read_text())

@@ -152,6 +152,12 @@ def test_spec_validation():
         BurstSpec(at=0.5, duration=0.0, rate=10.0)
 
 
+@pytest.mark.parametrize("n_clients", [0, -1])
+def test_spec_rejects_fewer_than_one_client(n_clients):
+    with pytest.raises(ConfigError, match="n_clients"):
+        ScenarioSpec(name="x", n_clients=n_clients)
+
+
 def test_resolve_spec_builtin_and_errors(tmp_path):
     assert resolve_spec("bursty-load") is BUILTIN_SCENARIOS["bursty-load"]
     with pytest.raises(ConfigError, match="unknown scenario"):
@@ -319,6 +325,15 @@ def test_cli_scenario_runs_spec_file(tmp_path, capsys):
 def test_cli_scenario_unknown_name(capsys):
     assert main(["scenario", "nope"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
+
+
+def test_cli_scenario_rejects_zero_clients(tmp_path, capsys):
+    """A spec file with no clients is a usage error like any other bad
+    field, not a traceback from the workload."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"name": "empty", "n_clients": 0}))
+    assert main(["scenario", str(path)]) == 2
+    assert "error: scenario n_clients must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_protocols_lists_registry(capsys):

@@ -2,7 +2,7 @@
 
 import statistics
 
-from repro.harness.experiments import run_order_experiment
+from repro.harness.runner import SweepTask, run_task
 
 #: Two-sided 95 % Student-t critical value for df = 2 (three seeds).
 T95_DF2 = 4.303
@@ -15,10 +15,10 @@ def test_sc_beats_bft_with_confidence():
 
     def interval(protocol):
         latencies = [
-            run_order_experiment(
-                protocol, "md5-rsa1024", 0.250, seed=seed,
-                n_batches=15, warmup_batches=4,
-            ).latency_mean
+            run_task(SweepTask(
+                kind="order", protocol=protocol, scheme="md5-rsa1024",
+                batching_interval=0.250, seed=seed, n_batches=15, warmup_batches=4,
+            )).result.latency_mean
             for seed in (1, 2, 3)
         ]
         mean = statistics.mean(latencies)

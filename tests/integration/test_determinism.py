@@ -51,18 +51,20 @@ def test_different_seeds_diverge():
 
 
 def test_experiment_points_are_reproducible():
-    from repro.harness.experiments import run_order_experiment
+    from repro.harness.runner import SweepTask, run_task
 
-    first = run_order_experiment("sc", "md5-rsa1024", 0.100,
-                                 n_batches=15, warmup_batches=4, seed=3)
-    second = run_order_experiment("sc", "md5-rsa1024", 0.100,
-                                  n_batches=15, warmup_batches=4, seed=3)
+    task = SweepTask(kind="order", protocol="sc", scheme="md5-rsa1024",
+                     batching_interval=0.100, n_batches=15, warmup_batches=4, seed=3)
+    first = run_task(task).result
+    second = run_task(task).result
     assert first == second
 
 
 def test_failover_experiment_reproducible():
-    from repro.harness.experiments import run_failover_experiment
+    from repro.harness.runner import SweepTask, run_task
 
-    first = run_failover_experiment("sc", "md5-rsa1024", 2, seed=3)
-    second = run_failover_experiment("sc", "md5-rsa1024", 2, seed=3)
+    task = SweepTask(kind="failover", protocol="sc", scheme="md5-rsa1024",
+                     backlog_batches=2, seed=3)
+    first = run_task(task).result
+    second = run_task(task).result
     assert first == second
