@@ -135,6 +135,10 @@ class FaultSpec:
     until: float | None = None
     factor: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.at < 0:
+            raise ConfigError("fault 'at' must be >= 0")
+
     def params(self) -> dict[str, float]:
         """The kind-specific constructor parameters that were set."""
         out: dict[str, float] = {}

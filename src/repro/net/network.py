@@ -13,8 +13,9 @@ Delivery pipeline for one message::
     send(dest, payload,   arrival = depart + delay   service = receive_service
          size, depart) -> heap entry at arrival  ->  done = busy CPU + service
                                                      idle CPU: heap entry at `done`
-                                                     busy CPU: CPU run queue, on
-                                                       the heap once at its head
+                                                     busy CPU: five fields on the
+                                                       CPU run queue, on the heap
+                                                       once at its head
                                                      on_message at `done`
 
 so a burst of arrivals serialises on the receiver's CPU — the mechanism
@@ -25,13 +26,14 @@ push a plain ``[arrive, seq, _deliver, (dest, sender, payload, size)]``
 entry onto the simulator's heap.  ``_deliver`` takes the completion's
 ``seq`` at arrival, like every other push, and for an idle CPU pushes
 ``[done, seq, on_message, (sender, payload)]``.  Behind a busy CPU the
-same entry joins the CPU's run queue (:mod:`repro.sim.cpu`) instead:
-only the queue's head is on the heap, so a saturated node's backlog
-costs no heap depth, and every completion still fires with the key it
-got on arrival.  An
-:class:`Envelope` is built only while a :meth:`Network.hold_matching`
-predicate needs one to look at.  ``send`` and ``multicast`` return
-``None``.
+completion is not an object at all: its ``done, seq, actor, sender,
+payload`` join the CPU's run queue as five plain fields
+(:mod:`repro.sim.cpu`), and only the queue's head is on the heap, so a
+saturated node's backlog costs no heap depth and leaves nothing for the
+garbage collector to walk, while every completion still fires with the
+key it got on arrival.  An :class:`Envelope` is built only while a
+:meth:`Network.hold_matching` predicate needs one to look at.  ``send``
+and ``multicast`` return ``None``.
 """
 
 from __future__ import annotations
@@ -280,9 +282,7 @@ class Network:
     # Delivery
     # ------------------------------------------------------------------
     def _deliver(self, dest: str, sender: str, payload: Any, size_bytes: int) -> None:
-        actor = self._actors.get(dest)
-        if actor is None:  # actor detached mid-flight; drop silently
-            return
+        actor = self._actors[dest]
         service = actor.receive_service(payload, size_bytes)
         if service <= 0.0:
             # Zero-service messages model interrupt-level handling
@@ -304,23 +304,17 @@ class Network:
             # Idle CPU: the completion goes straight onto the heap.
             completion = now + service
             cpu.busy_until = completion
-            cpu.total_busy += service
-            cpu.tasks_run += 1
             heappush(queue._heap, [completion, seq, actor.on_message, (sender, payload)])
             return
-        effective = service * (1.0 + cpu.overload_gamma * (busy - now))
-        completion = busy + effective
+        completion = busy + service * (1.0 + cpu.overload_gamma * (busy - now))
         cpu.busy_until = completion
-        cpu.total_busy += effective
-        cpu.tasks_run += 1
-        entry: list[Any] = [completion, seq, actor.on_message, (sender, payload)]
         run_queue = cpu.run_queue
         if not run_queue:
-            run_queue.append(entry)
-            cpu.push_head()
-        elif completion > run_queue[-1][0]:
-            run_queue.append(entry)
+            run_queue.extend((completion, seq, actor, sender, payload))
+            heappush(queue._heap, [completion, seq, cpu.release, ()])
+        elif completion > run_queue[-5]:
+            run_queue.extend((completion, seq, actor, sender, payload))
         else:
             # A service too small to advance the clock ties the tail's
             # time; released at that instant it would miss its slot.
-            heappush(queue._heap, entry)
+            heappush(queue._heap, [completion, seq, actor.on_message, (sender, payload)])

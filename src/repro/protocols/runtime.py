@@ -226,9 +226,9 @@ def record_dispatches(cluster) -> DispatchLog:
     handler invocation is recorded with its dispatch time.
 
     The wrapped ``on_message`` is an instance attribute, so both the
-    direct-call path and the scheduled-delivery path (which binds the
-    attribute at scheduling time) observe it; call before
-    ``cluster.start()``.
+    direct-call path and the scheduled-delivery path (which looks the
+    attribute up when it schedules a completion, or when a CPU run
+    queue releases one) observe it; call before ``cluster.start()``.
     """
     log = DispatchLog()
     for name, process in cluster.processes.items():

@@ -9,15 +9,19 @@ Figures 4 and 5.
 
 Run queue
 ---------
-The FIFO is literal: :attr:`Cpu.run_queue` holds the heap entries of
-deliveries whose service starts behind a busy CPU (``repro.net.network``
-appends them).  Only the queue's head waits on the simulator's heap
-(:meth:`Cpu.push_head`), with :meth:`Cpu._release` in its callback slot;
-``_release`` fires the head's handler and pushes the successor.
-Every entry keeps the ``(time, seq)`` key it got on arrival, and the
-queue's times strictly increase, so each head is on the heap before its
-slot is reached and events fire exactly as if every completion had been
-pushed at once, while the heap stays as deep as what can fire next
+The FIFO is literal: :attr:`Cpu.run_queue` holds the deliveries whose
+service starts behind a busy CPU (``repro.net.network`` appends them),
+as plain fields, five per completion, back to back in one ``deque``:
+``time, seq, actor, sender, payload``.  A queued completion is just its
+arguments, with no list, bound method or tuple of its own for the
+garbage collector to walk.  Only the queue's head waits on the
+simulator's heap, as ``[time, seq, release, ()]``; :meth:`Cpu._release`
+pops the head's fields, pushes the successor and calls
+``actor.on_message(sender, payload)``, looked up at that moment.
+Every completion keeps the ``(time, seq)`` key it got on arrival, and
+the queue's times strictly increase, so each head is on the heap before
+its slot is reached and events fire exactly as if every completion had
+been pushed at once, while the heap stays as deep as what can fire next
 rather than as the backlog.
 
 Overload inflation
@@ -64,19 +68,12 @@ class Cpu:
         self.name = name
         self.overload_gamma = overload_gamma
         self.busy_until = 0.0
-        self.total_busy = 0.0
-        self.tasks_run = 0
-        #: Queued completions ``[time, seq, on_message, (sender,
-        #: payload)]``.  The head, ``run_queue[0]``, is on the heap as
-        #: ``[time, seq, release, (sender, payload), on_message]``.
-        self.run_queue: deque[list[Any]] = deque()
+        #: Queued completions as flat fields, five each: ``time, seq,
+        #: actor, sender, payload``.  The head's ``time, seq`` are on
+        #: the heap as ``[time, seq, release, ()]``.
+        self.run_queue: deque[Any] = deque()
         #: ``_release`` bound once: it is the callback of every head.
         self.release = self._release
-
-    @property
-    def backlog(self) -> float:
-        """Seconds of queued work ahead of a task submitted right now."""
-        return max(0.0, self.busy_until - self.sim.now)
 
     def submit(self, service: float) -> float:
         """Queue ``service`` seconds of work; return its completion time.
@@ -92,22 +89,17 @@ class Cpu:
         effective = service * (1.0 + self.overload_gamma * lag)
         completion = start + effective
         self.busy_until = completion
-        self.total_busy += effective
-        self.tasks_run += 1
         return completion
 
-    def push_head(self) -> None:
-        """Put ``run_queue[0]`` on the heap as the queue's head: its
-        handler moves to a fifth slot and ``release`` takes its place."""
-        head = self.run_queue[0]
-        head.append(head[2])
-        head[2] = self.release
-        heappush(self.sim._queue._heap, head)
-
-    def _release(self, sender: str, payload: Any) -> None:
+    def _release(self) -> None:
         """Fire the run queue's head and put its successor on the heap."""
         queue = self.run_queue
-        handler = queue.popleft()[4]
+        pop = queue.popleft
+        pop()
+        pop()
+        actor = pop()
+        sender = pop()
+        payload = pop()
         if queue:
-            self.push_head()
-        handler(sender, payload)
+            heappush(self.sim._queue._heap, [queue[0], queue[1], self.release, ()])
+        actor.on_message(sender, payload)

@@ -15,9 +15,10 @@ Only a handle a caller can cancel needs to be an :class:`Event` (a
 ``list`` subclass with no per-instance storage of its own).  Internal
 layers that never hand out a handle push plain ``[time, seq, callback,
 args]`` lists taken from the same counter: the network's deliveries,
-CPU completions (behind a busy CPU, only the head of its run queue is
-on the heap; see ``repro.sim.cpu``) and open-loop arrivals (one on the
-heap at a time, each with a seq reserved at install).  An entry may
+CPU completions (behind a busy CPU a completion is five plain fields in
+its run queue and only the queue's head is on the heap, as ``[time,
+seq, release, ()]``; see ``repro.sim.cpu``) and open-loop arrivals (one
+on the heap at a time, each with a seq reserved at install).  An entry may
 reach the heap after later-numbered ones, but always before its own
 slot, so entries fire in ``(time, seq)`` order.  Cancelling clears the
 callback slot: the entry stays in the heap and is discarded when it

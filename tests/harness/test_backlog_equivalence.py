@@ -7,11 +7,16 @@ are sold on one promise: every event fires with the ``(time, seq)`` key
 it had when each completion and each arrival went straight onto the
 heap.  The oracle here is that older mechanism, kept under ``tests/``:
 a ``_deliver`` that always pushes, and an eager install.  Fired events
-are read off the real kernel by recording what its run loop pops.
+are read off the real kernel by recording what its run loop pops.  A
+queued completion is also five plain fields in its run queue, so a
+saturated backlog leaves the garbage collector nothing to walk.
 """
 
 from __future__ import annotations
 
+import gc
+from collections import Counter
+from types import MethodType
 from typing import Any
 
 import pytest
@@ -52,14 +57,10 @@ class DirectNetwork(Network):
         now = self.sim.now
         busy = cpu.busy_until
         if busy > now:
-            effective = service * (1.0 + cpu.overload_gamma * (busy - now))
-            completion = busy + effective
+            completion = busy + service * (1.0 + cpu.overload_gamma * (busy - now))
         else:
-            effective = service
             completion = now + service
         cpu.busy_until = completion
-        cpu.total_busy += effective
-        cpu.tasks_run += 1
         self.sim.schedule_at(completion, actor.on_message, sender, payload)
 
 
@@ -85,11 +86,12 @@ class EagerWorkload(OpenLoopWorkload):
 # Recording what the kernel fires
 # ----------------------------------------------------------------------
 def _label(entry: list[Any]) -> str:
-    """What a fired entry runs: ``actor.method`` for an actor's method,
-    else the bare name; a run-queue head is labelled by its handler."""
+    """What a popped entry runs: ``actor.method`` for an actor's method,
+    else the bare name.  A run-queue head is labelled by its actor's
+    ``on_message``, read off its CPU's queue, so call this at pop time."""
     callback = entry[2]
     if getattr(callback, "__func__", None) is Cpu._release:
-        callback = entry[4]
+        callback = callback.__self__.run_queue[2].on_message
     name = callback.__name__
     actor = getattr(getattr(callback, "__self__", None), "name", None)
     return name if actor is None else f"{actor}.{name}"
@@ -97,30 +99,30 @@ def _label(entry: list[Any]) -> str:
 
 def _run_recorded(monkeypatch, cluster, until: float) -> list[tuple[float, int, str]]:
     """Run ``cluster`` to ``until``; return every fired (time, seq, label)."""
-    popped: list[list[Any]] = []
+    fired: list[tuple[float, int, str]] = []
     pop = kernel.heappop
 
     def recording_pop(heap):
         entry = pop(heap)
-        popped.append(entry)
+        # Nothing here cancels a popped entry, so a cleared callback
+        # slot means the entry was discarded at the top of the heap.
+        if entry[2] is not None:
+            fired.append((entry[0], entry[1], _label(entry)))
         return entry
 
     with monkeypatch.context() as patch:
         patch.setattr(kernel, "heappop", recording_pop)
         cluster.start()
         cluster.run(until=until)
-    # Nothing here cancels a popped entry, so a cleared callback slot
-    # means the entry was discarded at the top of the heap, not fired.
-    fired = [(e[0], e[1], _label(e)) for e in popped if e[2] is not None]
     assert len(fired) == cluster.sim.events_processed
     return fired
 
 
-def _sc_cluster(oracle: bool, batching_interval: float, **workload: Any):
-    config = protocols.get("sc").configure(
+def _cluster(protocol: str, oracle: bool, batching_interval: float, **workload: Any):
+    config = protocols.get(protocol).configure(
         scheme="md5-rsa1024", f=1, batching_interval=batching_interval
     )
-    cluster = build_cluster("sc", config=config, seed=3)
+    cluster = build_cluster(protocol, config=config, seed=3)
     load = (EagerWorkload if oracle else OpenLoopWorkload)(cluster, **workload)
     if oracle:
         cluster.network.__class__ = DirectNetwork
@@ -132,19 +134,29 @@ def _run_queues(cluster) -> tuple[int, int]:
     """(completions waiting in run queues, queues with a head on the heap)."""
     cpus = {id(a.cpu): a.cpu for a in [*cluster.processes.values(), *cluster.clients]}
     queues = [cpu.run_queue for cpu in cpus.values()]
-    return sum(map(len, queues)), sum(1 for queue in queues if queue)
+    return sum(len(queue) // 5 for queue in queues), sum(1 for queue in queues if queue)
 
 
-def _saturated(oracle: bool):
-    rate = 1.5 * saturating_rate(1024, 64, 0.01)
-    return _sc_cluster(oracle, 0.01, rate=rate, duration=0.6)
+def _saturating(protocol: str):
+    def build(oracle: bool):
+        rate = 1.5 * saturating_rate(1024, 64, 0.01)
+        return _cluster(protocol, oracle, 0.01, rate=rate, duration=0.6)
+
+    return build
+
+
+_saturated = _saturating("sc")
 
 
 def _tied(oracle: bool):
-    return _sc_cluster(oracle, TICK, rate=1 / GAP, duration=0.3, spacing="uniform")
+    return _cluster("sc", oracle, TICK, rate=1 / GAP, duration=0.3, spacing="uniform")
 
 
-@pytest.mark.parametrize("build", [_saturated, _tied], ids=["saturated", "tied-ticks"])
+@pytest.mark.parametrize(
+    "build",
+    [_saturated, _saturating("ct"), _saturating("bft"), _tied],
+    ids=["saturated", "saturated-ct", "saturated-bft", "tied-ticks"],
+)
 def test_run_queue_and_lazy_arrivals_fire_as_the_direct_push_oracle(monkeypatch, build):
     product, product_load = build(oracle=False)
     oracle, oracle_load = build(oracle=True)
@@ -169,6 +181,27 @@ def test_saturated_run_queues_keep_the_heap_shallow():
     queued, _ = _run_queues(cluster)
     assert queued > 2000  # the point is saturated: CPUs have backlogs
     assert cluster.sim.pending < 0.05 * queued
+
+
+def _tracked_containers() -> int:
+    """GC-tracked lists, tuples and bound methods alive right now."""
+    gc.collect()
+    counts = Counter(type(obj) for obj in gc.get_objects())
+    return counts[list] + counts[tuple] + counts[MethodType]
+
+
+def test_queued_completions_are_not_garbage_collector_objects():
+    # A queued completion is its fields in the run queue: no list,
+    # bound method or tuple of its own for the cyclic collector to walk
+    # on every full collection of a saturated run.
+    cluster, _ = _saturated(oracle=False)
+    before = _tracked_containers()
+    cluster.start()
+    cluster.run(until=0.6)
+    grown = _tracked_containers() - before
+    queued, _ = _run_queues(cluster)
+    assert queued > 2000
+    assert grown < 0.1 * queued
 
 
 def test_tied_arrivals_land_on_batch_timer_instants(monkeypatch):

@@ -152,6 +152,12 @@ def test_spec_validation():
         BurstSpec(at=0.5, duration=0.0, rate=10.0)
 
 
+@pytest.mark.parametrize("kind", fault_kinds())
+def test_fault_spec_rejects_a_negative_time(kind):
+    with pytest.raises(ConfigError, match="fault 'at' must be >= 0"):
+        FaultSpec(kind=kind, at=-1.0)
+
+
 @pytest.mark.parametrize("n_clients", [0, -1])
 def test_spec_rejects_fewer_than_one_client(n_clients):
     with pytest.raises(ConfigError, match="n_clients"):
@@ -334,6 +340,18 @@ def test_cli_scenario_rejects_zero_clients(tmp_path, capsys):
     path.write_text(json.dumps({"name": "empty", "n_clients": 0}))
     assert main(["scenario", str(path)]) == 2
     assert "error: scenario n_clients must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_scenario_rejects_a_fault_before_time_zero(tmp_path, capsys):
+    """A negative fault time is a usage error, not a simulator internal
+    (``hold_acks``) or a silent run as if ``at`` were 0 (the others)."""
+    path = tmp_path / "early.json"
+    fault = {"kind": "hold_acks", "at": -1}
+    path.write_text(json.dumps({"name": "early", "faults": [fault]}))
+    assert main(["scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: fault 'at' must be >= 0"]
+    assert captured.out == ""
 
 
 def test_cli_protocols_lists_registry(capsys):
